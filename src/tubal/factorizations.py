@@ -19,7 +19,7 @@ from .errors import (
     NotAnEigentube,
     SingularFace,
 )
-from .tensors import Tensor3, identity, slice_normalize, tensor_tube_mul
+from .tensors import Tensor3, f_diagonal, identity, slice_normalize, tensor_tube_mul
 from .tubes import FOURIER, Tube, is_conjugate_even
 
 #: Relative window within which face eigenvalue magnitudes count as tied.
@@ -38,10 +38,10 @@ def _half(n, use_symmetry):
 
 
 def _mirror(stack, n):
-    """Fill faces half..n-1 of a stack with conjugates of their partners."""
-    for f in range(_half(n, True), n):
-        stack[f] = np.conj(stack[n - f])
-    return stack
+    """The full n-face stack of a real tensor from its leading
+    floor(n/2) + 1 faces; face f >= half is the conjugate of face n - f."""
+    half = _half(n, True)
+    return np.concatenate([stack[:half], np.conj(stack[n - half : 0 : -1])])
 
 
 def _alloc(n, rows, cols):
@@ -84,34 +84,37 @@ class TQrResult:
     r: Tensor3
 
 
+def facewise_qr(stack, mode):
+    """QR of every face of an (faces, l, p) stack in one batched call.
+
+    ``mode`` is ``"complete"`` or ``"reduced"`` as for
+    :func:`numpy.linalg.qr`. Each face pair is normalized so the diagonal
+    of R is real nonnegative, which makes it unique, gives conjugate faces
+    conjugate factors, and lets fixed-point iterations built on this kernel
+    become exactly stationary. Returns the Q and R stacks.
+    """
+    q, r = np.linalg.qr(stack, mode=mode)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    mag = np.abs(d)
+    nz = mag > 0
+    phase = np.ones((q.shape[0], q.shape[2]), dtype=np.complex128)
+    phase[:, : d.shape[1]] = np.where(nz, d / np.where(nz, mag, 1.0), 1.0)
+    return q * phase[:, None, :], np.conj(phase)[:, :, None] * r
+
+
 def t_qr(a, mode="complete"):
     """QR factorization of every Fourier face.
 
     ``mode="complete"`` returns Q of shape l x l x n and R of shape
-    l x p x n; ``mode="reduced"`` returns the economy factors used by
-    subspace iteration. Faces are normalized so the diagonal of R is real
-    nonnegative, which makes the factor pair unique and lets fixed-point
-    iterations built on this routine become exactly stationary.
+    l x p x n; ``mode="reduced"`` returns the economy factors. The faces
+    are factored by :func:`facewise_qr`, so the diagonal of R is real
+    nonnegative.
     """
-    l, p, n = a.shape
-    qcols = l if mode == "complete" else min(l, p)
+    n = a.n
     sym = a.is_real
-    half = _half(n, sym)
-    stack = a.fourier_faces()
-    qs = _alloc(n, l, qcols)
-    rs = _alloc(n, qcols, p)
-    for f in range(half):
-        qf, rf = np.linalg.qr(stack[f], mode=mode)
-        k = min(qcols, p)
-        d = np.diag(rf)[:k].copy()
-        phase = np.ones(qcols, dtype=np.complex128)
-        nz = np.abs(d) > 0
-        phase[:k][nz] = d[nz] / np.abs(d[nz])
-        qs[f] = qf * phase
-        rs[f] = np.conj(phase)[:, None] * rf
+    qs, rs = facewise_qr(a.fourier_faces()[: _half(n, sym)], mode)
     if sym:
-        _mirror(qs, n)
-        _mirror(rs, n)
+        qs, rs = _mirror(qs, n), _mirror(rs, n)
     return TQrResult(_spatial(qs, sym), _spatial(rs, sym))
 
 
@@ -161,9 +164,7 @@ def t_lu(a):
         ls[f], us[f] = lf, uf
         perm[f] = np.argmax(pm.T, axis=1)
     if sym:
-        _mirror(ps, n)
-        _mirror(ls, n)
-        _mirror(us, n)
+        ps, ls, us = _mirror(ps, n), _mirror(ls, n), _mirror(us, n)
         for f in range(half, n):
             perm[f] = perm[n - f]
     return TLuResult(_spatial(ps, sym), _spatial(ls, sym), _spatial(us, sym), perm)
@@ -196,8 +197,7 @@ def t_hess(a):
         hf, wf = sla.hessenberg(stack[f], calc_q=True)
         ws[f], hs[f] = wf, hf
     if sym:
-        _mirror(ws, n)
-        _mirror(hs, n)
+        ws, hs = _mirror(ws, n), _mirror(hs, n)
     return THessResult(_spatial(ws, sym), _spatial(hs, sym))
 
 
@@ -235,9 +235,7 @@ def t_svd(a):
         ss[f, :k, :k] = np.diag(sf)
         vs[f] = vhf.conj().T
     if sym:
-        _mirror(us, n)
-        _mirror(ss, n)
-        _mirror(vs, n)
+        us, ss, vs = _mirror(us, n), _mirror(ss, n), _mirror(vs, n)
     s_tensor = _spatial(ss, sym)
     tubes = [_maybe_real_tube(ss[:, i, i]) for i in range(k)]
     sigma = np.array([t.norm() for t in tubes])
@@ -346,7 +344,7 @@ class EigentubeSpectrum:
         return max(t.norm() for t in self.eigentubes)
 
     def to_f_diagonal(self):
-        return f_diagonal_of(self.eigentubes)
+        return f_diagonal(self.eigentubes)
 
     def algebraic_f_multiplicity(self, j, rtol=1e-8):
         lam = self.face_values[:, j]
@@ -393,12 +391,6 @@ def _nullity(m, rtol):
     s = np.linalg.svd(m, compute_uv=False)
     gate = rtol * max(1.0, float(s.max()) if s.size else 1.0)
     return int(np.sum(s <= gate))
-
-
-def f_diagonal_of(tubes):
-    from .tensors import f_diagonal
-
-    return f_diagonal(tubes)
 
 
 def spectrum_of(a):
@@ -567,5 +559,5 @@ def t_inverse(a, rtol=1e-13):
             raise SingularFace(f, f"sigma_min {s[-1]:.3e}")
         out[f] = np.linalg.inv(stack[f])
     if a.is_real:
-        _mirror(out, n)
+        out = _mirror(out, n)
     return _spatial(out, a.is_real)

@@ -26,12 +26,13 @@ from .errors import (
     SingularShift,
     ZeroSlice,
 )
-from .factorizations import t_qr, t_hess
+from .factorizations import facewise_qr, t_hess, t_qr
 from .tensors import (
     Tensor3,
     concat_lateral,
     conj_transpose,
     f_tril,
+    fourier_norm,
     identity,
     slice_inner,
     slice_normalize,
@@ -39,7 +40,7 @@ from .tensors import (
     tensor_tube_div,
     tensor_tube_mul,
 )
-from .tubes import Tube, tube_conj_t, tube_div, tube_mul, unit_tube
+from .tubes import Tube, conjugate_even, tube_conj_t, tube_div, tube_mul, unit_tube
 
 
 @dataclass(frozen=True)
@@ -525,13 +526,35 @@ def deflated_power_sweep(a, num, cfg=None):
 # subspace iteration
 
 
+def _fourier_stack(t, half):
+    """Fourier faces of ``t`` as a contiguous (faces, l, p) stack; with
+    ``half`` (real tensors) only the leading n // 2 + 1 faces."""
+    if half:
+        return np.ascontiguousarray(np.moveaxis(np.fft.rfft(t.data.real, axis=2), 2, 0))
+    return np.ascontiguousarray(t.fourier_faces())
+
+
+def _spatial_from_stack(stack, n, half):
+    """Inverse of :func:`_fourier_stack`."""
+    if half:
+        return Tensor3(np.fft.irfft(np.moveaxis(stack, 0, 2), n=n, axis=2))
+    return Tensor3.from_fourier_faces(stack)
+
+
 def t_subspace_iteration(a, num=None, x0=None, cfg=None, rng=None):
     """Orthogonal subspace iteration for the ``num`` largest eigentubes.
 
     Each step applies the tensor ``cfg.power_index`` times, re-orthonormal-
-    izes with an economy t-QR, and compresses R = X^H * A * X. Iteration
-    stops once the f-lower-triangular part of R (diagonal included) moves
-    by at most ``cfg.tol`` between steps, relative to the magnitude of R.
+    izes with an economy facewise QR, and compresses R = X^H * A * X.
+    Iteration stops once the f-lower-triangular part of R (diagonal
+    included) moves by at most ``cfg.tol`` between steps, relative to the
+    magnitude of R.
+
+    The iterate X, the product Y = A * X and R stay Fourier face stacks for
+    the whole run, the leading n // 2 + 1 faces when A and X0 are real: a
+    step is one batched QR and a few batched matrix products, Y serves as
+    the next step's first power application, every norm is taken from the
+    stacks by Parseval, and only the returned tensors are transformed back.
     """
     _check_square(a)
     cfg = cfg or SolverConfig()
@@ -539,33 +562,43 @@ def t_subspace_iteration(a, num=None, x0=None, cfg=None, rng=None):
     if x0 is None:
         if num is None:
             raise ValueError("pass either num or x0")
-        x = random_slice_set(a.p, num, a.n, a.is_real, rng)
-    else:
-        x = x0
-        num = x.p
-    r_prev = None
+        x0 = random_slice_set(a.p, num, a.n, a.is_real, rng)
+    if x0.n != a.n:
+        raise DimensionMismatch("tubes", a.n, x0.n)
+    if x0.l != a.p:
+        raise DimensionMismatch("inner", a.p, x0.l)
+    n = a.n
+    half = a.is_real and x0.is_real
+    ahat = _fourier_stack(a, half)
+    y = ahat @ _fourier_stack(x0, half)
+    q = r = r_prev = None
     err_trace = []
     resid_trace = []
     err = np.inf
-    r = None
     stall = _StallDetector(cfg.stall_window, cfg.stall_ceiling)
+
+    def result(converged):
+        u = _spatial_from_stack(q, n, half)
+        rr = _spatial_from_stack(r, n, half)
+        return SchurResult(u, rr, k, converged, err_trace, resid_trace)
+
     k = 0
     while k < cfg.iter_max:
         k += 1
-        for _ in range(cfg.power_index):
-            x = t_product(a, x)
-        x = t_qr(x, mode="reduced").q
-        r = t_product(t_product(conj_transpose(x), a), x)
-        resid_trace.append((t_product(a, x) - t_product(x, r)).frob_norm())
+        for _ in range(cfg.power_index - 1):
+            y = ahat @ y
+        q = facewise_qr(y, mode="reduced")[0]
+        y = ahat @ q
+        r = np.conj(np.swapaxes(q, 1, 2)) @ y
+        resid_trace.append(fourier_norm(y - q @ r, n))
         if r_prev is not None:
-            scale = max(1.0, r.frob_norm())
-            err = f_tril(r - r_prev).frob_norm()
+            scale = max(1.0, fourier_norm(r, n))
+            err = fourier_norm(np.tril(r - r_prev), n)
             err_trace.append(err)
             if err <= cfg.tol * scale or stall.converged(err / scale):
-                return SchurResult(x, r, k, True, err_trace, resid_trace)
+                return result(True)
         r_prev = r
-    partial = SchurResult(x, r, k, False, err_trace, resid_trace)
-    raise NoConvergence(k, err, result=partial)
+    raise NoConvergence(k, err, result=result(False))
 
 
 # ---------------------------------------------------------------------------
@@ -759,8 +792,8 @@ def t_qr_shifted(a, cfg=None):
                 us[f], hs[f] = _polish_schur_face(a_faces[f], us[f], hs[f])
         snap = a.is_real and not complex_mode
         return SchurResult(
-            Tensor3.from_fourier_faces(us, real=snap and _conj_even_stack(us)),
-            Tensor3.from_fourier_faces(hs, real=snap and _conj_even_stack(hs)),
+            Tensor3.from_fourier_faces(us, real=snap and conjugate_even(us)),
+            Tensor3.from_fourier_faces(hs, real=snap and conjugate_even(hs)),
             iterations,
             converged,
             err_trace,
@@ -803,16 +836,3 @@ def t_qr_shifted(a, cfg=None):
         result=finish(False, k),
         detail=f"{r} rows still active",
     )
-
-
-def _conj_even_stack(stack):
-    """Whether a Fourier face stack is conjugate even to roundoff, i.e.
-    the spatial tensor it came from is real."""
-    n = stack.shape[0]
-    scale = max(1.0, float(np.abs(stack).max()))
-    for f in range(1, n // 2 + 1):
-        if not np.allclose(
-            stack[f], np.conj(stack[(n - f) % n]), rtol=0.0, atol=1e-10 * scale
-        ):
-            return False
-    return np.abs(stack[0].imag).max() <= 1e-10 * scale

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import base64
 import json
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -43,12 +44,18 @@ def _payload(t):
     return body
 
 
-def _parse(body):
-    if len(body) < _DIMS.size:
+def _dims(record):
+    """Dimensions and flag of a body's leading dims record, range checked."""
+    if len(record) < _DIMS.size:
         raise MalformedFile("truncated tensor body")
-    l, p, n, flag = _DIMS.unpack_from(body)
+    l, p, n, flag = _DIMS.unpack_from(record)
     if min(l, p, n) < 1 or l * p * n > MAX_ENTRIES:
         raise MalformedFile(f"dimension overflow: {(l, p, n)}")
+    return l, p, n, flag
+
+
+def _parse(body):
+    l, p, n, flag = _dims(body)
     expect = _DIMS.size + l * p * n * 16
     if len(body) != expect:
         raise MalformedFile(
@@ -71,15 +78,26 @@ def write_t3b(t, path):
 
 
 def read_t3b(path):
-    blob = Path(path).read_bytes()
-    if len(blob) < _HEADER.size:
-        raise MalformedFile("file shorter than the header")
-    magic, version, crc, _ = _HEADER.unpack_from(blob)
-    if magic != MAGIC:
-        raise MalformedFile(f"bad magic {magic!r}")
-    if version != VERSION:
-        raise MalformedFile(f"unsupported version {version}")
-    body = blob[_HEADER.size :]
+    """Read a ``.t3b`` file. The header and the dims record are checked,
+    and the file size is compared with the size the dims imply, before
+    the body is read."""
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size + _DIMS.size)
+        if len(head) < _HEADER.size:
+            raise MalformedFile("file shorter than the header")
+        magic, version, crc, _ = _HEADER.unpack_from(head)
+        if magic != MAGIC:
+            raise MalformedFile(f"bad magic {magic!r}")
+        if version != VERSION:
+            raise MalformedFile(f"unsupported version {version}")
+        l, p, n, _ = _dims(head[_HEADER.size :])
+        expect = _HEADER.size + _DIMS.size + l * p * n * 16
+        size = os.fstat(fh.fileno()).st_size
+        if size != expect:
+            raise MalformedFile(
+                f"file size {size} does not match dimensions {(l, p, n)}"
+            )
+        body = head[_HEADER.size :] + fh.read()
     if zlib.crc32(body) & 0xFFFFFFFF != crc:
         raise MalformedFile("checksum mismatch")
     return _parse(body)

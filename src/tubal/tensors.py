@@ -228,6 +228,22 @@ def ifft3(a):
     return Tensor3(np.fft.ifft(a.data, axis=2))
 
 
+def fourier_norm(stack, n):
+    """Frobenius norm of the spatial tensor with the given Fourier faces, by
+    Parseval: ||A||_F^2 = sum_f ||A_hat_f||_F^2 / n.
+
+    ``stack`` is (faces, l, p) and holds either all n faces or, for a real
+    tensor, the leading n // 2 + 1 of them; faces 1 .. (n - 1) // 2 then
+    also stand for their conjugate partners and count twice.
+    """
+    total = np.vdot(stack, stack).real
+    if stack.shape[0] != n:
+        total = 2.0 * total - np.vdot(stack[0], stack[0]).real
+        if n % 2 == 0:
+            total -= np.vdot(stack[-1], stack[-1]).real
+    return float(np.sqrt(total / n))
+
+
 def inner_product(a, b):
     """Entrywise inner product sum(A * conj(B)) as a complex scalar."""
     if a.shape != b.shape:

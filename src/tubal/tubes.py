@@ -236,20 +236,25 @@ def tube_conj_t(t):
     return Tube(out)
 
 
-def is_conjugate_even(t, tol=1e-10):
-    """Whether a Fourier tube has the symmetry of a real signal's DFT.
+def conjugate_even(values, tol=1e-10):
+    """Whether Fourier values indexed along axis 0 (a tube, or a stack of
+    Fourier faces) have the symmetry of a real signal's DFT.
 
-    Entry 1 must be real and entry j must be the conjugate of entry
-    n - j + 2, within ``tol`` scaled by the largest entry magnitude.
+    Entry 0 must be real and entry j the conjugate of entry n - j, within
+    ``tol`` scaled by the largest entry magnitude (at least 1). NaN entries
+    fail the test.
     """
+    v = np.asarray(values)
+    bound = tol * max(1.0, float(np.abs(v).max()))
+    return bool(
+        (np.abs(v[0].imag) <= bound).all()
+        and (np.abs(v[1:].conj() - v[:0:-1]) <= bound).all()
+    )
+
+
+def is_conjugate_even(t, tol=1e-10):
+    """Whether a Fourier tube has the symmetry of a real signal's DFT; see
+    :func:`conjugate_even`."""
     if t.domain != FOURIER:
         raise DomainMismatch("is_conjugate_even expects a Fourier tube")
-    v = t.values
-    n = v.size
-    scale = max(1.0, float(np.abs(v).max()))
-    if abs(v[0].imag) > tol * scale:
-        return False
-    for j in range(1, n):
-        if abs(np.conj(v[j]) - v[(n - j) % n]) > tol * scale:
-            return False
-    return True
+    return conjugate_even(t.values, tol)

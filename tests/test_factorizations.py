@@ -75,6 +75,46 @@ def test_qr_reduced(rng):
     assert t_product(res.q, res.r).allclose(a, rtol=1e-10)
 
 
+def _qr_reference(a, mode):
+    """Per-face t-QR: one np.linalg.qr per Fourier face, the diagonal of R
+    made real nonnegative, conjugate faces mirrored one by one."""
+    l, p, n = a.shape
+    qcols = l if mode == "complete" else min(l, p)
+    half = n // 2 + 1 if a.is_real else n
+    stack = a.fourier_faces()
+    qs = np.empty((n, l, qcols), dtype=np.complex128)
+    rs = np.empty((n, qcols, p), dtype=np.complex128)
+    for f in range(half):
+        qf, rf = np.linalg.qr(stack[f], mode=mode)
+        k = min(qcols, p)
+        d = np.diag(rf)[:k].copy()
+        phase = np.ones(qcols, dtype=np.complex128)
+        nz = np.abs(d) > 0
+        phase[:k][nz] = d[nz] / np.abs(d[nz])
+        qs[f] = qf * phase
+        rs[f] = np.conj(phase)[:, None] * rf
+    for f in range(half, n):
+        qs[f] = np.conj(qs[n - f])
+        rs[f] = np.conj(rs[n - f])
+    real = a.is_real
+    return (
+        Tensor3.from_fourier_faces(qs, real=real),
+        Tensor3.from_fourier_faces(rs, real=real),
+    )
+
+
+@pytest.mark.parametrize("mode", ["complete", "reduced"])
+@pytest.mark.parametrize("shape", [(3, 5, 4), (5, 3, 7), (4, 4, 1), (6, 2, 1)])
+@pytest.mark.parametrize("real", [True, False])
+def test_qr_matches_per_face_loop_bitwise(rng, mode, shape, real):
+    a = random_tensor(rng, *shape, real=real)
+    res = t_qr(a, mode=mode)
+    q_ref, r_ref = _qr_reference(a, mode)
+    for got, want in ((res.q, q_ref), (res.r, r_ref)):
+        assert got.shape == want.shape and got.is_real == want.is_real == real
+        assert np.array_equal(got.data, want.data)
+
+
 # ---------------------------------------------------------------------------
 # t-LU
 

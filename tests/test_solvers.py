@@ -19,6 +19,7 @@ from tubal import (
     deflated_power_sweep,
     eigenslice_for,
     f_diagonal,
+    fourier_norm,
     identity,
     slice_inner,
     spectrum_of,
@@ -361,6 +362,55 @@ def test_subspace_power_index_speeds_up():
         assert t_product(conj_transpose(res.u), res.u).allclose(
             identity(4, 3), atol=1e-10
         )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+@pytest.mark.parametrize("real", [True, False])
+def test_fourier_norm_is_parseval(rng, n, real):
+    a = random_tensor(rng, 3, 2, n, real=real)
+    stack = a.fourier_faces()
+    if real:
+        stack = stack[: n // 2 + 1]
+    assert_allclose(fourier_norm(stack, n), a.frob_norm(), rtol=1e-13)
+
+
+def test_subspace_real_and_complex_start_agree(rng):
+    a = tridiag_tensor()
+    x0 = random_tensor(rng, 10, 4, 3, real=True)
+    x0c = Tensor3(x0.data, real=False)
+    cfg = SolverConfig(rng_seed=0)
+    half = t_subspace_iteration(a, x0=x0, cfg=cfg)
+    full = t_subspace_iteration(a, x0=x0c, cfg=cfg)
+    assert half.converged and full.converged
+    assert half.u.is_real and half.r.is_real
+    for x, y in zip(half.diag_tubes(), full.diag_tubes()):
+        assert (x - y).norm() <= 1e-10
+
+
+@pytest.mark.parametrize("iter_max", [1, 2])
+@pytest.mark.parametrize("real", [True, False])
+def test_subspace_partial_result_is_spatial(rng, iter_max, real):
+    a = random_tensor(rng, 5, 5, 4, real=real)
+    with pytest.raises(NoConvergence) as info:
+        t_subspace_iteration(a, num=3, cfg=SolverConfig(rng_seed=0, iter_max=iter_max))
+    res = info.value.result
+    assert res.iterations == iter_max and not res.converged
+    assert res.u.shape == (5, 3, 4) and res.r.shape == (3, 3, 4)
+    assert res.u.is_real == res.r.is_real == real
+    assert len(res.residual_trace) == iter_max
+    assert len(res.error_trace) == iter_max - 1
+    assert_allclose(
+        (t_product(a, res.u) - t_product(res.u, res.r)).frob_norm(),
+        res.residual_trace[-1],
+        rtol=1e-8,
+    )
+
+
+def test_subspace_start_shape_checked():
+    with pytest.raises(DimensionMismatch):
+        t_subspace_iteration(tridiag_tensor(), x0=zeros(9, 2, 3))
+    with pytest.raises(DimensionMismatch):
+        t_subspace_iteration(tridiag_tensor(), x0=zeros(10, 2, 4))
 
 
 def test_subspace_requires_size():

@@ -88,6 +88,28 @@ def test_dimension_overflow(tmp_path):
         read_t3b(path)
 
 
+def test_size_checked_before_body_is_read(tmp_path, rng, monkeypatch):
+    import zlib
+
+    from tubal.tensorio import _DIMS, _HEADER, MAGIC, VERSION
+
+    a = random_tensor(rng, 2, 2, 2)
+    path = tmp_path / "a.t3b"
+    write_t3b(a, path)
+    blob = path.read_bytes()
+    # claim one more row than the entries the file holds
+    body = _DIMS.pack(3, 2, 2, 0) + blob[_HEADER.size + _DIMS.size :]
+    header = _HEADER.pack(MAGIC, VERSION, zlib.crc32(body) & 0xFFFFFFFF, 0)
+    path.write_bytes(header + body)
+
+    def refuse(self):
+        raise AssertionError("the body was read before the size check")
+
+    monkeypatch.setattr(type(path), "read_bytes", refuse)
+    with pytest.raises(MalformedFile, match="does not match dimensions"):
+        read_t3b(path)
+
+
 def test_json_rejects_garbage(tmp_path):
     path = tmp_path / "x.json"
     path.write_text("{not json")

@@ -9,6 +9,7 @@ from tubal import (
     FOURIER,
     NearSingularTube,
     Tube,
+    conjugate_even,
     is_conjugate_even,
     tube_conj_t,
     tube_div,
@@ -131,6 +132,19 @@ def test_conjugate_even_checks():
     # complex input breaks the symmetry; checked against the explicit DFT
     f = dft_oracle([1 + 1j, 0, 0])
     assert not is_conjugate_even(Tube(f, domain=FOURIER))
+
+
+def test_conjugate_even_stack_and_nan():
+    rng = np.random.default_rng(12)
+    for n in (1, 4, 5):
+        stack = np.fft.fft(rng.standard_normal((n, 3, 2)), axis=0)
+        assert conjugate_even(stack)
+        bent = stack.copy()
+        bent[n // 2] += 1e-6j
+        assert not conjugate_even(bent)
+        bent[n // 2] = complex(np.nan, np.nan)
+        assert not conjugate_even(bent)
+    assert not is_conjugate_even(Tube([1, np.nan, 1], domain=FOURIER))
 
 
 def test_conjugate_even_requires_fourier():
