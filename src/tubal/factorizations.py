@@ -20,7 +20,7 @@ from .errors import (
     SingularFace,
 )
 from .tensors import Tensor3, f_diagonal, identity, slice_normalize, tensor_tube_mul
-from .tubes import FOURIER, Tube, is_conjugate_even
+from .tubes import FOURIER, Tube, conjugate_even, is_conjugate_even
 
 #: Relative window within which face eigenvalue magnitudes count as tied.
 TIE_RTOL = 1e-12
@@ -32,35 +32,43 @@ NULL_RTOL = 1e-10
 LU_PIVOT_RTOL = 1e-13
 
 
-def _half(n, use_symmetry):
-    """Number of leading Fourier faces that determine the rest."""
-    return n // 2 + 1 if use_symmetry else n
+def _leading_faces(a):
+    """Fourier faces of ``a`` as an (faces, l, p) stack: all n of them, or
+    for a real tensor the leading floor(n/2) + 1 that determine the rest."""
+    stack = a.fourier_faces()
+    return stack[: a.n // 2 + 1] if a.is_real else stack
 
 
 def _mirror(stack, n):
-    """The full n-face stack of a real tensor from its leading
-    floor(n/2) + 1 faces; face f >= half is the conjugate of face n - f."""
-    half = _half(n, True)
-    return np.concatenate([stack[:half], np.conj(stack[n - half : 0 : -1])])
+    """The full n-entry stack from a leading-faces stack (axis 0): entry
+    f >= half is the conjugate of entry n - f. A full stack passes through."""
+    half = len(stack)
+    if half == n:
+        return stack
+    return np.concatenate([stack, np.conj(stack[n - half : 0 : -1])])
 
 
-def _alloc(n, rows, cols):
-    return np.empty((n, rows, cols), dtype=np.complex128)
+def _stitch(stack, a):
+    """The spatial tensor whose Fourier faces are ``stack``, a
+    :func:`_leading_faces`-shaped result computed from ``a``."""
+    return Tensor3.from_fourier_faces(_mirror(stack, a.n), real=a.is_real)
 
 
-def _spatial(stack, real):
-    return Tensor3.from_fourier_faces(stack, real=real)
+def _first_bad_face(bad):
+    """Index of the first True entry of a per-face flag vector, or None."""
+    return int(np.argmax(bad)) if bad.any() else None
 
 
-def _phase_fix(v):
-    """Rotate a vector so its largest entry is real positive; ties take the
-    smallest index. Keeps stitched eigenvectors deterministic and lets
-    conjugate faces produce conjugate vectors."""
-    k = int(np.argmax(np.abs(v)))
-    pivot = v[k]
-    if pivot != 0:
-        v = v * (np.conj(pivot) / abs(pivot))
-    return v
+def _phase_fix(vs):
+    """Rotate each row of ``vs`` so its largest entry is real positive; ties
+    take the smallest index. Keeps stitched eigenvectors deterministic and
+    lets conjugate faces produce conjugate vectors."""
+    pivot = vs[np.arange(len(vs)), np.argmax(np.abs(vs), axis=1)]
+    # hypot rounds like the scalar abs; numpy's vectorized complex abs can
+    # differ from it in the last bit
+    mag = np.hypot(pivot.real, pivot.imag)
+    nz = mag > 0
+    return vs * np.where(nz, np.conj(pivot) / np.where(nz, mag, 1.0), 1.0)[:, None]
 
 
 def _maybe_real_tube(vals_hat):
@@ -110,12 +118,8 @@ def t_qr(a, mode="complete"):
     are factored by :func:`facewise_qr`, so the diagonal of R is real
     nonnegative.
     """
-    n = a.n
-    sym = a.is_real
-    qs, rs = facewise_qr(a.fourier_faces()[: _half(n, sym)], mode)
-    if sym:
-        qs, rs = _mirror(qs, n), _mirror(rs, n)
-    return TQrResult(_spatial(qs, sym), _spatial(rs, sym))
+    qs, rs = facewise_qr(_leading_faces(a), mode)
+    return TQrResult(_stitch(qs, a), _stitch(rs, a))
 
 
 # ---------------------------------------------------------------------------
@@ -145,29 +149,17 @@ def t_lu(a):
     """
     if a.l != a.p:
         raise DimensionMismatch("rows", a.l, a.p)
-    p, n = a.p, a.n
-    sym = a.is_real
-    half = _half(n, sym)
-    stack = a.fourier_faces()
-    ps = _alloc(n, p, p)
-    ls = _alloc(n, p, p)
-    us = _alloc(n, p, p)
-    perm = [None] * n
-    for f in range(half):
-        pm, lf, uf = sla.lu(stack[f])
-        gate = LU_PIVOT_RTOL * max(1.0, float(np.linalg.norm(stack[f])))
-        pivots = np.abs(np.diag(uf))
-        if pivots.size and pivots.min() <= gate:
-            raise SingularFace(f, f"pivot {pivots.min():.3e}")
-        # scipy returns A = pm @ L @ U, so the permutation applied to A is pm^T
-        ps[f] = pm.T
-        ls[f], us[f] = lf, uf
-        perm[f] = np.argmax(pm.T, axis=1)
-    if sym:
-        ps, ls, us = _mirror(ps, n), _mirror(ls, n), _mirror(us, n)
-        for f in range(half, n):
-            perm[f] = perm[n - f]
-    return TLuResult(_spatial(ps, sym), _spatial(ls, sym), _spatial(us, sym), perm)
+    stack = _leading_faces(a)
+    pm, ls, us = sla.lu(stack)
+    gates = LU_PIVOT_RTOL * np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
+    pivots = np.abs(np.diagonal(us, axis1=1, axis2=2)).min(axis=1)
+    f = _first_bad_face(pivots <= gates)
+    if f is not None:
+        raise SingularFace(f, f"pivot {pivots[f]:.3e}")
+    # scipy returns A = pm @ L @ U, so the permutation applied to A is pm^T
+    ps = np.swapaxes(pm, 1, 2)
+    perm = list(_mirror(np.argmax(pm, axis=1), a.n))
+    return TLuResult(_stitch(ps, a), _stitch(ls, a), _stitch(us, a), perm)
 
 
 # ---------------------------------------------------------------------------
@@ -187,18 +179,9 @@ def t_hess(a):
     similarity."""
     if a.l != a.p:
         raise DimensionMismatch("rows", a.l, a.p)
-    p, n = a.p, a.n
-    sym = a.is_real
-    half = _half(n, sym)
-    stack = a.fourier_faces()
-    ws = _alloc(n, p, p)
-    hs = _alloc(n, p, p)
-    for f in range(half):
-        hf, wf = sla.hessenberg(stack[f], calc_q=True)
-        ws[f], hs[f] = wf, hf
-    if sym:
-        ws, hs = _mirror(ws, n), _mirror(hs, n)
-    return THessResult(_spatial(ws, sym), _spatial(hs, sym))
+    # one call per face: a batched hessenberg is slower than this loop
+    hs, ws = zip(*(sla.hessenberg(m, calc_q=True) for m in _leading_faces(a)))
+    return THessResult(_stitch(np.array(ws), a), _stitch(np.array(hs), a))
 
 
 # ---------------------------------------------------------------------------
@@ -221,25 +204,15 @@ class TSvdResult:
 
 
 def t_svd(a):
-    l, p, n = a.shape
-    k = min(l, p)
-    sym = a.is_real
-    half = _half(n, sym)
-    stack = a.fourier_faces()
-    us = _alloc(n, l, l)
-    ss = np.zeros((n, l, p), dtype=np.complex128)
-    vs = _alloc(n, p, p)
-    for f in range(half):
-        uf, sf, vhf = np.linalg.svd(stack[f])
-        us[f] = uf
-        ss[f, :k, :k] = np.diag(sf)
-        vs[f] = vhf.conj().T
-    if sym:
-        us, ss, vs = _mirror(us, n), _mirror(ss, n), _mirror(vs, n)
-    s_tensor = _spatial(ss, sym)
-    tubes = [_maybe_real_tube(ss[:, i, i]) for i in range(k)]
+    stack = _leading_faces(a)
+    us, sv, vhs = np.linalg.svd(stack)
+    k = sv.shape[1]
+    ss = np.zeros(stack.shape, dtype=np.complex128)
+    ss[:, range(k), range(k)] = sv
+    tubes = [_maybe_real_tube(col) for col in _mirror(sv, a.n).T]
     sigma = np.array([t.norm() for t in tubes])
-    return TSvdResult(_spatial(us, sym), s_tensor, _spatial(vs, sym), tubes, sigma)
+    vs = np.conj(np.swapaxes(vhs, 1, 2))
+    return TSvdResult(_stitch(us, a), _stitch(ss, a), _stitch(vs, a), tubes, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -250,15 +223,7 @@ def t_det(a):
     """Determinant tube: Fourier entry i is det of Fourier face i."""
     if a.l != a.p:
         raise DimensionMismatch("rows", a.l, a.p)
-    stack = a.fourier_faces()
-    n = a.n
-    vals = np.empty(n, dtype=np.complex128)
-    half = _half(n, a.is_real)
-    for f in range(half):
-        vals[f] = np.linalg.det(stack[f])
-    for f in range(half, n):
-        vals[f] = np.conj(vals[n - f])
-    return _maybe_real_tube(vals)
+    return _maybe_real_tube(_mirror(np.linalg.det(_leading_faces(a)), a.n))
 
 
 def char_poly_eval(a, x):
@@ -397,21 +362,24 @@ def spectrum_of(a):
     """Eigentubes of a square tensor via a dense eigensolver per face."""
     if a.l != a.p:
         raise DimensionMismatch("rows", a.l, a.p)
-    p, n = a.p, a.n
-    stack = a.fourier_faces()
-    raw = [None] * n
-    half = _half(n, a.is_real)
-    for f in range(half):
-        raw[f] = _face_eigvals(stack[f])
-    for f in range(half, n):
-        raw[f] = np.conj(raw[n - f])
+    raw = _mirror(np.array([_face_eigvals(m) for m in _leading_faces(a)]), a.n)
     face_values = np.stack([_sort_face_eigs(v) for v in raw])
-    tubes = [_maybe_real_tube(face_values[:, j]) for j in range(p)]
-    return EigentubeSpectrum(tubes, face_values, stack)
+    tubes = [_maybe_real_tube(col) for col in face_values.T]
+    return EigentubeSpectrum(tubes, face_values, a.fourier_faces())
 
 
 # ---------------------------------------------------------------------------
 # eigenslices
+
+
+def _slice_from_columns(cols, real):
+    """Lateral slice whose row tubes have the Fourier entries in the rows of
+    the (p, n) array ``cols``; for a ``real`` tensor it is snapped to real
+    when every row is conjugate-even."""
+    data = np.fft.ifft(cols, axis=1)
+    if real and conjugate_even(cols.T, tol=1e-10):
+        data = data.real
+    return Tensor3(data[:, None, :])
 
 
 def eigenslice_for(a, lam, gate=1e-8, defect_tol=1e-8):
@@ -426,28 +394,22 @@ def eigenslice_for(a, lam, gate=1e-8, defect_tol=1e-8):
     """
     if a.l != a.p:
         raise DimensionMismatch("rows", a.l, a.p)
-    p, n = a.p, a.n
     stack = a.fourier_faces()
     lam_hat = lam.fourier_values
-    cols = np.empty((p, n), dtype=np.complex128)
-    for f in range(n):
-        m = stack[f]
-        evals = np.linalg.eigvals(m)
-        scale = max(1.0, float(np.abs(evals).max()))
-        dist = float(np.min(np.abs(evals - lam_hat[f])))
-        if dist > gate * scale:
-            raise NotAnEigentube(f, dist)
-        shifted = m - lam_hat[f] * np.eye(p)
-        _, s, vh = np.linalg.svd(shifted)
-        if s[-1] > defect_tol * max(1.0, float(np.linalg.norm(m))):
-            raise DefectiveFace(f, float(s[-1]))
-        cols[:, f] = _phase_fix(np.conj(vh[-1]))
-    data = np.fft.ifft(cols, axis=1)
-    if a.is_real and all(
-        is_conjugate_even(Tube(cols[i], FOURIER), tol=1e-10) for i in range(p)
-    ):
-        data = data.real
-    x, _ = slice_normalize(Tensor3(data[:, None, :]))
+    evals = np.linalg.eigvals(stack)
+    scale = np.maximum(1.0, np.abs(evals).max(axis=1))
+    dist = np.abs(evals - lam_hat[:, None]).min(axis=1)
+    _, s, vh = np.linalg.svd(stack - lam_hat[:, None, None] * np.eye(a.p))
+    smin = s[:, -1]
+    far = dist > gate * scale
+    defective = smin > defect_tol * np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
+    f = _first_bad_face(far | defective)
+    if f is not None:
+        if far[f]:
+            raise NotAnEigentube(f, float(dist[f]))
+        raise DefectiveFace(f, float(smin[f]))
+    cols = _phase_fix(np.conj(vh[:, -1])).T
+    x, _ = slice_normalize(_slice_from_columns(cols, a.is_real))
     return x
 
 
@@ -466,26 +428,19 @@ def real_t_schur(a):
         raise ValueError("real_t_schur requires a real tensor")
     if a.l != a.p:
         raise DimensionMismatch("rows", a.l, a.p)
-    p, n = a.p, a.n
-    stack = a.fourier_faces()
-    qs = _alloc(n, p, p)
-    rs = _alloc(n, p, p)
 
-    def real_face(f):
-        t, z = sla.schur(stack[f].real, output="real")
-        qs[f] = z.T
-        rs[f] = t
+    def schur_face(f, m):
+        if 2 * f % a.n == 0:  # faces 0 and n/2 are their own conjugates: real
+            t, z = sla.schur(m.real, output="real")
+            return z.T, t
+        t, z = sla.schur(m, output="complex")
+        return z.conj().T, t
 
-    real_face(0)
-    for f in range(1, (n - 1) // 2 + 1):
-        t, z = sla.schur(stack[f], output="complex")
-        qs[f] = z.conj().T
-        rs[f] = t
-        qs[n - f] = np.conj(qs[f])
-        rs[n - f] = np.conj(rs[f])
-    if n % 2 == 0 and n > 1:
-        real_face(n // 2)
-    return _spatial(qs, True), _spatial(rs, True)
+    qs, rs = zip(*(schur_face(f, m) for f, m in enumerate(_leading_faces(a))))
+    return (
+        _stitch(np.array(qs, dtype=np.complex128), a),
+        _stitch(np.array(rs, dtype=np.complex128), a),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -499,30 +454,15 @@ def t_null_basis(a, rtol=NULL_RTOL):
     Returns a (possibly empty) list of lateral slices X with A * X almost
     zero.
     """
-    l, p, n = a.shape
-    stack = a.fourier_faces()
-    vhs = []
-    nullities = []
-    for f in range(n):
-        _, s, vh = np.linalg.svd(stack[f])
-        smax = float(s.max()) if s.size else 0.0
-        gate = rtol * smax if smax > 0 else np.inf
-        ncols = p - s.size + int(np.sum(s <= gate)) if s.size else p
-        nullities.append(ncols)
-        vhs.append(vh)
-    r = min(nullities)
-    basis = []
-    for j in range(1, r + 1):
-        cols = np.empty((p, n), dtype=np.complex128)
-        for f in range(n):
-            cols[:, f] = _phase_fix(np.conj(vhs[f][p - j]))
-        data = np.fft.ifft(cols, axis=1)
-        if a.is_real and all(
-            is_conjugate_even(Tube(cols[i], FOURIER), tol=1e-10) for i in range(p)
-        ):
-            data = data.real
-        basis.append(Tensor3(data[:, None, :]))
-    return basis
+    p = a.p
+    _, s, vh = np.linalg.svd(a.fourier_faces())
+    smax = s.max(axis=1)
+    gate = np.where(smax > 0, rtol * smax, np.inf)
+    r = int((p - s.shape[1] + (s <= gate[:, None]).sum(axis=1)).min())
+    return [
+        _slice_from_columns(_phase_fix(np.conj(vh[:, p - j])).T, a.is_real)
+        for j in range(1, r + 1)
+    ]
 
 
 def in_range(a, y, rtol=NULL_RTOL):
@@ -549,15 +489,9 @@ def t_inverse(a, rtol=1e-13):
     nonsingular."""
     if a.l != a.p:
         raise DimensionMismatch("rows", a.l, a.p)
-    p, n = a.p, a.n
-    stack = a.fourier_faces()
-    out = _alloc(n, p, p)
-    half = _half(n, a.is_real)
-    for f in range(half):
-        s = np.linalg.svd(stack[f], compute_uv=False)
-        if s[-1] <= rtol * max(1.0, float(s[0])):
-            raise SingularFace(f, f"sigma_min {s[-1]:.3e}")
-        out[f] = np.linalg.inv(stack[f])
-    if a.is_real:
-        out = _mirror(out, n)
-    return _spatial(out, a.is_real)
+    stack = _leading_faces(a)
+    s = np.linalg.svd(stack, compute_uv=False)
+    f = _first_bad_face(s[:, -1] <= rtol * np.maximum(1.0, s[:, 0]))
+    if f is not None:
+        raise SingularFace(f, f"sigma_min {s[f, -1]:.3e}")
+    return _stitch(np.linalg.inv(stack), a)

@@ -26,7 +26,7 @@ from .errors import (
     SingularShift,
     ZeroSlice,
 )
-from .factorizations import facewise_qr, t_hess, t_qr
+from .factorizations import LU_PIVOT_RTOL, facewise_qr, t_hess, t_qr
 from .tensors import (
     Tensor3,
     concat_lateral,
@@ -53,12 +53,6 @@ class SolverConfig:
     iteration step, and ``deflation_variant`` picks the pairing slice of
     the deflation sweep: the computed eigenslice (DE), the left eigenslice
     (DLE), or the orthonormalized Schur slice (DS).
-
-    ``shift_recovery`` selects how the shifted inverse iteration maps the
-    converged scaling tube back to an eigentube: ``"outside"`` computes
-    e / alpha + shift, which is consistent with the spectrum of the
-    inverted operator, while ``"inside"`` computes e / (alpha + shift),
-    a variant that folds the shift into the scaling tube before inverting.
     """
 
     tol: float = 1e-15
@@ -67,7 +61,6 @@ class SolverConfig:
     shift: Tube | None = None
     deflation_variant: str = "DE"
     rng_seed: int = 0
-    shift_recovery: str = "outside"
     complex_shift: bool = False
     deflation_eps: float | None = None
     restarts: int = 3
@@ -85,8 +78,6 @@ class SolverConfig:
             raise ValueError("power_index must be at least 1")
         if self.deflation_variant.upper() not in ("DE", "DLE", "DS"):
             raise ValueError(f"unknown deflation variant {self.deflation_variant!r}")
-        if self.shift_recovery not in ("outside", "inside"):
-            raise ValueError(f"unknown shift recovery {self.shift_recovery!r}")
 
 
 class _StallDetector:
@@ -200,6 +191,58 @@ def _check_square(a):
 # power iteration
 
 
+def _power_loop(a, v0, apply, recover, real, cfg, rng):
+    """The iteration shared by :func:`t_power` and :func:`t_inverse_power`,
+    with the stopping and restart rules described for :func:`t_power`.
+
+    Each step maps the slice v to ``w = apply(v, av)``, where ``av`` is
+    A * v when the previous step already formed it and None after a start
+    or restart, divides w by its anchored row tube alpha, and takes
+    ``recover(alpha)`` as the eigentube estimate. Random start and restart
+    slices are real when ``real``.
+    """
+    v = v0 if v0 is not None else random_lateral_slice(a.p, a.n, real, rng)
+    if v.p != 1 or v.l != a.p or v.n != a.n:
+        raise DimensionMismatch("shape", v.shape, (a.p, 1, a.n))
+    restarts = 0
+    prev_alpha = lam = anchor = av = None
+    trace = []
+    resid = np.inf
+    stall = _StallDetector(cfg.stall_window, cfg.stall_ceiling)
+    k = 0
+    while k < cfg.iter_max:
+        k += 1
+        w = apply(v, av)
+        try:
+            anchor = _anchored_scaling_row(w, anchor)
+            alpha = Tube(w.data[anchor, 0, :])
+            v_new = tensor_tube_div(w, alpha)
+        except NearSingularTube as exc:
+            if restarts >= cfg.restarts:
+                raise DivisionFailure(
+                    f"scaling tube stayed near singular after {restarts} restarts"
+                ) from exc
+            restarts += 1
+            v = random_lateral_slice(a.p, a.n, real, rng)
+            prev_alpha = anchor = av = None
+            continue
+        lam = recover(alpha)
+        av = t_product(a, v_new)
+        resid = (av - tensor_tube_mul(v_new, lam)).frob_norm()
+        trace.append(resid)
+        if prev_alpha is not None:
+            dv = (v_new - v).frob_norm()
+            da = (alpha - prev_alpha).norm()
+            anorm = max(1.0, alpha.norm())
+            if (dv <= cfg.tol and da <= cfg.tol * anorm) or stall.converged(
+                max(dv / max(1.0, v_new.frob_norm()), da / anorm)
+            ):
+                return EigenPair(lam, v_new, resid, k, True, trace)
+        v, prev_alpha = v_new, alpha
+    partial = EigenPair(lam, v, resid, k, False, trace)
+    raise NoConvergence(k, resid, result=partial)
+
+
 def t_power(a, v0=None, cfg=None, rng=None):
     """Power iteration for the eigenpair with the largest-norm eigentube.
 
@@ -214,50 +257,15 @@ def t_power(a, v0=None, cfg=None, rng=None):
     _check_square(a)
     cfg = cfg or SolverConfig()
     rng = rng if rng is not None else np.random.default_rng(cfg.rng_seed)
-    v = v0 if v0 is not None else random_lateral_slice(a.p, a.n, a.is_real, rng)
-    if v.p != 1 or v.l != a.p or v.n != a.n:
-        raise DimensionMismatch("shape", v.shape, (a.p, 1, a.n))
-
-    restarts = 0
-    prev_alpha = None
-    trace = []
-    alpha = None
-    resid = np.inf
-    anchor = None
-    stall = _StallDetector(cfg.stall_window, cfg.stall_ceiling)
-    w = t_product(a, v)
-    k = 0
-    while k < cfg.iter_max:
-        k += 1
-        try:
-            anchor = _anchored_scaling_row(w, anchor)
-            alpha = Tube(w.data[anchor, 0, :])
-            v_new = tensor_tube_div(w, alpha)
-        except NearSingularTube as exc:
-            if restarts >= cfg.restarts:
-                raise DivisionFailure(
-                    f"scaling tube stayed near singular after {restarts} restarts"
-                ) from exc
-            restarts += 1
-            v = random_lateral_slice(a.p, a.n, a.is_real, rng)
-            w = t_product(a, v)
-            prev_alpha = None
-            anchor = None
-            continue
-        w_new = t_product(a, v_new)
-        resid = (w_new - tensor_tube_mul(v_new, alpha)).frob_norm()
-        trace.append(resid)
-        if prev_alpha is not None:
-            dv = (v_new - v).frob_norm()
-            da = (alpha - prev_alpha).norm()
-            anorm = max(1.0, alpha.norm())
-            if dv <= cfg.tol and da <= cfg.tol * anorm:
-                return EigenPair(alpha, v_new, resid, k, True, trace)
-            if stall.converged(max(dv / max(1.0, v_new.frob_norm()), da / anorm)):
-                return EigenPair(alpha, v_new, resid, k, True, trace)
-        v, w, prev_alpha = v_new, w_new, alpha
-    partial = EigenPair(alpha, v, resid, k, False, trace)
-    raise NoConvergence(k, resid, result=partial)
+    return _power_loop(
+        a,
+        v0,
+        lambda v, av: av if av is not None else t_product(a, v),
+        lambda alpha: alpha,
+        a.is_real,
+        cfg,
+        rng,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +288,7 @@ class _ShiftedSolver:
                 warnings.simplefilter("ignore", sla.LinAlgWarning)
                 lu, piv = sla.lu_factor(stack[f])
             pivmags = np.abs(np.diag(lu))
-            gate = 1e-13 * max(1.0, float(np.linalg.norm(stack[f])))
+            gate = LU_PIVOT_RTOL * max(1.0, float(np.linalg.norm(stack[f])))
             if pivmags.min() <= gate:
                 raise SingularShift(
                     f"face {f}: shifted tensor pivot {pivmags.min():.3e}"
@@ -302,10 +310,10 @@ def t_inverse_power(a, sigma=None, v0=None, cfg=None, rng=None):
     """Shifted inverse iteration for the eigentube closest to ``sigma``.
 
     The shifted tensor is LU factored facewise once; each step solves for
-    the next slice, rescales by its largest-norm tube, and stops by the
-    same stabilization test as :func:`t_power`. The eigentube is recovered
-    from the converged scaling tube according to ``cfg.shift_recovery``.
-    ``sigma`` falls back to ``cfg.shift``.
+    the next slice and rescales by its largest-norm tube alpha, which
+    converges to the inverse of (lambda - sigma), so the eigentube is
+    recovered as e / alpha + sigma. It stops and restarts like
+    :func:`t_power`. ``sigma`` falls back to ``cfg.shift``.
     """
     _check_square(a)
     cfg = cfg or SolverConfig()
@@ -317,54 +325,16 @@ def t_inverse_power(a, sigma=None, v0=None, cfg=None, rng=None):
     if sigma.n != a.n:
         raise DimensionMismatch("tubes", sigma.n, a.n)
     solver = _ShiftedSolver(a, sigma)
-    v = v0 if v0 is not None else random_lateral_slice(
-        a.p, a.n, a.is_real and sigma.is_real, rng
-    )
     e = unit_tube(a.n)
-    prev_alpha = None
-    trace = []
-    lam = None
-    resid = np.inf
-    anchor = None
-    stall = _StallDetector(cfg.stall_window, cfg.stall_ceiling)
-    k = 0
-    restarts = 0
-    while k < cfg.iter_max:
-        k += 1
-        w = solver.solve(v)
-        try:
-            anchor = _anchored_scaling_row(w, anchor)
-            alpha = Tube(w.data[anchor, 0, :])
-            v_new = tensor_tube_div(w, alpha)
-        except NearSingularTube as exc:
-            if restarts >= cfg.restarts:
-                raise DivisionFailure(
-                    f"scaling tube stayed near singular after {restarts} restarts"
-                ) from exc
-            restarts += 1
-            v = random_lateral_slice(a.p, a.n, a.is_real and sigma.is_real, rng)
-            prev_alpha = None
-            anchor = None
-            continue
-        if cfg.shift_recovery == "outside":
-            lam = tube_div(e, alpha) + sigma
-        else:
-            lam = tube_div(e, alpha + sigma)
-        resid = (
-            t_product(a, v_new) - tensor_tube_mul(v_new, lam)
-        ).frob_norm()
-        trace.append(resid)
-        if prev_alpha is not None:
-            dv = (v_new - v).frob_norm()
-            da = (alpha - prev_alpha).norm()
-            anorm = max(1.0, alpha.norm())
-            if dv <= cfg.tol and da <= cfg.tol * anorm:
-                return EigenPair(lam, v_new, resid, k, True, trace)
-            if stall.converged(max(dv / max(1.0, v_new.frob_norm()), da / anorm)):
-                return EigenPair(lam, v_new, resid, k, True, trace)
-        v, prev_alpha = v_new, alpha
-    partial = EigenPair(lam, v, resid, k, False, trace)
-    raise NoConvergence(k, resid, result=partial)
+    return _power_loop(
+        a,
+        v0,
+        lambda v, av: solver.solve(v),
+        lambda alpha: tube_div(e, alpha) + sigma,
+        a.is_real and sigma.is_real,
+        cfg,
+        rng,
+    )
 
 
 # ---------------------------------------------------------------------------

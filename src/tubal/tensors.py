@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NearSingularTube
-from .tubes import SINGULARITY_EPS, Tube
+from .errors import DimensionMismatch
+from .tubes import Tube, _check_divisor
 
 #: bcirc materialization guard: (l*n) * (p*n) entries at most.
 BCIRC_ENTRY_CAP = 10**6
@@ -367,11 +367,7 @@ def tensor_tube_div(a, b):
     if a.n != b.n:
         raise DimensionMismatch("tubes", a.n, b.n)
     bf = b.fourier_values
-    mags = np.abs(bf)
-    gate = SINGULARITY_EPS * max(1.0, mags.max())
-    worst = int(np.argmin(mags))
-    if mags[worst] <= gate:
-        raise NearSingularTube(worst, float(mags[worst]), gate)
+    _check_divisor(np.abs(bf))
     fa = np.fft.fft(a.data, axis=2)
     data = np.fft.ifft(fa / bf, axis=2)
     if a.is_real and b.is_real:
@@ -414,10 +410,7 @@ def slice_normalize(y):
     _check_lateral(y)
     fy = np.fft.fft(y.data[:, 0, :], axis=1)
     t_hat = np.sum(np.abs(fy) ** 2, axis=0)
-    gate = SINGULARITY_EPS * max(1.0, float(t_hat.max()))
-    worst = int(np.argmin(t_hat))
-    if t_hat[worst] <= gate:
-        raise NearSingularTube(worst, float(t_hat[worst]), gate)
+    _check_divisor(t_hat)
     a_hat = np.sqrt(t_hat)
     fx = fy / a_hat
     xdata = np.fft.ifft(fx, axis=1)

@@ -190,6 +190,16 @@ def tube_mul(a, b):
     return Tube(np.fft.ifft(a.fourier_values * b.fourier_values))
 
 
+def _check_divisor(mags):
+    """Raise :class:`NearSingularTube` when the smallest of the Fourier
+    magnitudes ``mags`` of a divisor falls below
+    ``SINGULARITY_EPS * max(1, max(mags))``."""
+    gate = SINGULARITY_EPS * max(1.0, float(mags.max()))
+    worst = int(np.argmin(mags))
+    if mags[worst] <= gate:
+        raise NearSingularTube(worst, float(mags[worst]), gate)
+
+
 def tube_div(a, b):
     """Tube quotient: entrywise division in the Fourier domain.
 
@@ -198,11 +208,7 @@ def tube_div(a, b):
     """
     a._compat(b)
     bf = b.fourier_values
-    mags = np.abs(bf)
-    gate = SINGULARITY_EPS * max(1.0, mags.max())
-    worst = int(np.argmin(mags))
-    if mags[worst] <= gate:
-        raise NearSingularTube(worst, float(mags[worst]), gate)
+    _check_divisor(np.abs(bf))
     vals = np.fft.ifft(a.fourier_values / bf)
     if a.is_real and b.is_real:
         vals = vals.real
@@ -241,10 +247,12 @@ def conjugate_even(values, tol=1e-10):
     Fourier faces) have the symmetry of a real signal's DFT.
 
     Entry 0 must be real and entry j the conjugate of entry n - j, within
-    ``tol`` scaled by the largest entry magnitude (at least 1). NaN entries
-    fail the test.
+    ``tol`` scaled by the largest entry magnitude (at least 1). Non-finite
+    entries (NaN, inf) fail the test.
     """
     v = np.asarray(values)
+    if not np.isfinite(v).all():
+        return False
     bound = tol * max(1.0, float(np.abs(v).max()))
     return bool(
         (np.abs(v[0].imag) <= bound).all()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
 from conftest import (
@@ -39,6 +40,8 @@ from tubal import (
     zeros,
 )
 from tubal.experiments import STOCHASTIC_FACES, TestTensorSpec, make_tensor
+from tubal.factorizations import _face_eigvals, _sort_face_eigs
+from tubal.tubes import FOURIER, is_conjugate_even
 
 
 # ---------------------------------------------------------------------------
@@ -75,27 +78,35 @@ def test_qr_reduced(rng):
     assert t_product(res.q, res.r).allclose(a, rtol=1e-10)
 
 
-def _qr_reference(a, mode):
-    """Per-face t-QR: one np.linalg.qr per Fourier face, the diagonal of R
-    made real nonnegative, conjugate faces mirrored one by one."""
-    l, p, n = a.shape
-    qcols = l if mode == "complete" else min(l, p)
+def _per_face(a, face_fn):
+    """Reference facewise kernel: ``face_fn`` on each leading Fourier face
+    (all n faces, or n // 2 + 1 for a real tensor), the remaining faces
+    mirrored one by one as conjugates. Returns one (n, ...) array per output
+    of ``face_fn``."""
+    n = a.n
     half = n // 2 + 1 if a.is_real else n
     stack = a.fourier_faces()
-    qs = np.empty((n, l, qcols), dtype=np.complex128)
-    rs = np.empty((n, qcols, p), dtype=np.complex128)
-    for f in range(half):
-        qf, rf = np.linalg.qr(stack[f], mode=mode)
-        k = min(qcols, p)
-        d = np.diag(rf)[:k].copy()
-        phase = np.ones(qcols, dtype=np.complex128)
-        nz = np.abs(d) > 0
-        phase[:k][nz] = d[nz] / np.abs(d[nz])
-        qs[f] = qf * phase
-        rs[f] = np.conj(phase)[:, None] * rf
+    out = [face_fn(stack[f]) for f in range(half)]
     for f in range(half, n):
-        qs[f] = np.conj(qs[n - f])
-        rs[f] = np.conj(rs[n - f])
+        out.append(tuple(np.conj(x) for x in out[n - f]))
+    return [np.array(col) for col in zip(*out)]
+
+
+def _qr_face(m, mode):
+    """np.linalg.qr of one face with the diagonal of R made real
+    nonnegative."""
+    qf, rf = np.linalg.qr(m, mode=mode)
+    k = min(qf.shape[1], m.shape[1])
+    d = np.diag(rf)[:k].copy()
+    phase = np.ones(qf.shape[1], dtype=np.complex128)
+    nz = np.abs(d) > 0
+    phase[:k][nz] = d[nz] / np.abs(d[nz])
+    return qf * phase, np.conj(phase)[:, None] * rf
+
+
+def _qr_reference(a, mode):
+    """Per-face t-QR through :func:`_per_face`."""
+    qs, rs = _per_face(a, lambda m: _qr_face(m, mode))
     real = a.is_real
     return (
         Tensor3.from_fourier_faces(qs, real=real),
@@ -113,6 +124,118 @@ def test_qr_matches_per_face_loop_bitwise(rng, mode, shape, real):
     for got, want in ((res.q, q_ref), (res.r, r_ref)):
         assert got.shape == want.shape and got.is_real == want.is_real == real
         assert np.array_equal(got.data, want.data)
+
+
+def _tube_from_fourier(vals):
+    """Tube with the given Fourier entries, real when conjugate-even."""
+    t = Tube(vals, FOURIER)
+    spat = t.spatial_values
+    return Tube(spat.real if is_conjugate_even(t, tol=1e-13) else spat)
+
+
+def _assert_same(got, want):
+    if isinstance(got, Tensor3):
+        assert got.is_real == want.is_real
+        got, want = got.data, want.data
+    elif isinstance(got, Tube):
+        got, want = got.values, want.values
+    assert np.array_equal(got, want)
+
+
+def _lu_face(m):
+    pm, lf, uf = sla.lu(m)
+    return pm.T, lf, uf, np.argmax(pm.T, axis=1)
+
+
+def _svd_face(m):
+    uf, sf, vhf = np.linalg.svd(m)
+    ss = np.zeros(m.shape, dtype=np.complex128)
+    k = sf.size
+    ss[:k, :k] = np.diag(sf)
+    return uf, ss, vhf.conj().T
+
+
+def _square_reference(a):
+    """Every square factorization of ``a`` through :func:`_per_face`, as
+    (name, computed, reference) triples."""
+    real = a.is_real
+
+    def spatial(stack):
+        return Tensor3.from_fourier_faces(stack, real=real)
+
+    lu = t_lu(a)
+    ps, ls, us, perm = _per_face(a, _lu_face)
+    hs = t_hess(a)
+    ws, hh = _per_face(a, lambda m: sla.hessenberg(m, calc_q=True)[::-1])
+    (dets,) = _per_face(a, lambda m: (np.linalg.det(m),))
+    (invs,) = _per_face(a, lambda m: (np.linalg.inv(m),))
+    spec = spectrum_of(a)
+    (raw,) = _per_face(a, lambda m: (_face_eigvals(m),))
+    face_values = np.stack([_sort_face_eigs(v) for v in raw])
+    return [
+        ("lu.p", lu.p, spatial(ps)),
+        ("lu.l", lu.l, spatial(ls)),
+        ("lu.u", lu.u, spatial(us)),
+        ("lu.perm", np.array(lu.perm), perm),
+        ("hess.w", hs.w, spatial(ws)),
+        ("hess.h", hs.h, spatial(hh)),
+        ("det", t_det(a), _tube_from_fourier(dets)),
+        ("inverse", t_inverse(a), spatial(invs)),
+        ("spectrum.face_values", spec.face_values, face_values),
+    ] + [
+        (f"spectrum.eigentube{j}", got, _tube_from_fourier(face_values[:, j]))
+        for j, got in enumerate(spec.eigentubes)
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+@pytest.mark.parametrize("real", [True, False])
+def test_square_factorizations_match_per_face_loop_bitwise(rng, n, real):
+    a = random_tensor(rng, 4, 4, n, real=real)
+    for name, got, want in _square_reference(a):
+        try:
+            _assert_same(got, want)
+        except AssertionError:
+            pytest.fail(f"{name} differs from the per-face loop")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("shape", [(4, 4), (5, 3), (3, 5)])
+def test_svd_matches_per_face_loop_bitwise(rng, n, real, shape):
+    a = random_tensor(rng, *shape, n, real=real)
+    res = t_svd(a)
+    us, ss, vs = _per_face(a, _svd_face)
+    for got, want in zip((res.u, res.s, res.v), (us, ss, vs)):
+        _assert_same(got, Tensor3.from_fourier_faces(want, real=real))
+    tubes = [_tube_from_fourier(ss[:, i, i]) for i in range(min(shape))]
+    assert len(res.singular_tubes) == len(tubes)
+    for got, want in zip(res.singular_tubes, tubes):
+        _assert_same(got, want)
+    assert np.array_equal(res.singular_values, [t.norm() for t in tubes])
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_singular_face_names_the_first_bad_face(rng, real):
+    # n = 5: the real tensor's face 3 mirrors face 2, so face 2 is its first
+    # bad leading face; the complex tensor has faces 3 and 4 singular
+    n = 5
+    faces = rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3))
+    if real:
+        faces[0] = faces[0].real
+        for f in range(1, n):
+            faces[f] = np.conj(faces[n - f]) if f > n // 2 else faces[f]
+        bad = [2, 3]
+    else:
+        bad = [3, 4]
+    for f in bad:
+        faces[f][:, 0] = 0.0
+    a = Tensor3.from_fourier_faces(faces, real=real)
+    assert a.is_real == real
+    for fn in (t_lu, t_inverse):
+        with pytest.raises(SingularFace) as info:
+            fn(a)
+        assert info.value.face_index == bad[0]
 
 
 # ---------------------------------------------------------------------------

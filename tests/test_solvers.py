@@ -6,6 +6,8 @@ from conftest import f_hermitian_tensor, random_tensor, tridiag_tensor
 from tubal import (
     BadPairing,
     DimensionMismatch,
+    DivisionFailure,
+    NearSingularTube,
     NoConvergence,
     SingularShift,
     SolverConfig,
@@ -202,16 +204,33 @@ def test_inverse_power_smallest_of_tridiag():
     assert pair.residual_norm <= 1e-12
 
 
-def test_inverse_power_recovery_conventions():
-    a = tridiag_tensor()
-    sigma = Tube([1e-5, 0.0, 0.0])
-    outside = t_inverse_power(a, sigma, cfg=SolverConfig(rng_seed=0))
-    inside = t_inverse_power(
-        a, sigma, cfg=SolverConfig(rng_seed=0, shift_recovery="inside")
-    )
-    # with a tiny shift the two recoveries differ by about the shift size
-    gap = (outside.eigentube - inside.eigentube).norm()
-    assert 1e-7 <= gap <= 1e-3
+def _restart_cases():
+    """Power and inverse power on the n = 2 tridiag tensor, started from a
+    slice of [1, 1] tubes: its Fourier face 1 is zero, so the first scaling
+    tube is singular. Each case gives the solver call and the eigentube it
+    should reach."""
+    a = tridiag_tensor(n=2)
+    v0 = Tensor3(np.ones((10, 1, 2)))
+    sigma = Tube([1e-5, 0.0])
+    exact = spectrum_of(a).eigentubes
+    return [
+        (lambda cfg: t_power(a, v0=v0, cfg=cfg), exact[0]),
+        (lambda cfg: t_inverse_power(a, sigma, v0=v0, cfg=cfg), exact[-1]),
+    ]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["power", "inverse_power"])
+def test_power_family_restarts_on_singular_scaling_tube(case):
+    solve, exact = _restart_cases()[case]
+    pair = solve(SolverConfig(rng_seed=0))
+    assert pair.converged
+    # the restarted step records no residual
+    assert len(pair.residual_trace) == pair.iterations - 1
+    assert (pair.eigentube - exact).norm() <= 1e-12
+    assert pair.residual_norm <= 1e-12
+    with pytest.raises(DivisionFailure) as info:
+        solve(SolverConfig(rng_seed=0, restarts=0))
+    assert isinstance(info.value.__cause__, NearSingularTube)
 
 
 def test_inverse_power_singular_shift(rng):
@@ -530,5 +549,3 @@ def test_config_validation():
         SolverConfig(power_index=0)
     with pytest.raises(ValueError):
         SolverConfig(deflation_variant="XX")
-    with pytest.raises(ValueError):
-        SolverConfig(shift_recovery="sideways")

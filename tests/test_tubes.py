@@ -145,6 +145,8 @@ def test_conjugate_even_stack_and_nan():
         bent[n // 2] = complex(np.nan, np.nan)
         assert not conjugate_even(bent)
     assert not is_conjugate_even(Tube([1, np.nan, 1], domain=FOURIER))
+    assert not is_conjugate_even(Tube([np.nan, 1, 1], domain=FOURIER))
+    assert not is_conjugate_even(Tube([np.inf, 1, 1], domain=FOURIER))
 
 
 def test_conjugate_even_requires_fourier():
