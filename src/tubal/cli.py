@@ -21,23 +21,20 @@ import numpy as np
 from .errors import TubalError
 from .experiments import (
     DEFAULT_GAUSS_SEED,
+    METHODS,
     TABLES,
     TENSOR_KINDS,
     TestTensorSpec,
     _report_doc,
+    _tube_to_lists,
+    default_config,
     make_tensor,
-    run_deflation,
-    run_inverse_power,
-    run_power,
-    run_qr_shifted,
-    run_subspace,
+    run_method,
+    run_table,
 )
 from .factorizations import spectrum_of
-from .solvers import SolverConfig
 from .tensorio import read_tensor, write_tensor
 from .tubes import Tube
-
-METHODS = ("t-pm", "t-sipm", "de", "dle", "ds", "t-si", "t-qrhs")
 
 
 def _parse_shift(text, n):
@@ -109,56 +106,43 @@ def _cmd_gen(args):
     return 0
 
 
+def _summary(rep):
+    def sci(x):
+        return "n/a" if x is None else f"{x:.3e}"
+
+    state = "ok" if rep.converged else "no convergence"
+    return f"error={sci(rep.error)} res={sci(rep.res_norm)} iter={rep.iterations} [{state}]"
+
+
 def _cmd_run(args):
     if args.table:
-        from .experiments import run_table
-
         reports = run_table(
             args.table, args.out, seed=args.seed, solver_seed=args.solver_seed
         )
-        bad = [r for r in reports if not r.converged]
         for r in reports:
-            state = "ok" if r.converged else "no convergence"
-            print(
-                f"{r.tensor:10s} {r.method:7s} error={r.error:.3e} "
-                f"res={r.res_norm:.3e} iter={r.iterations} [{state}]"
-            )
-        return 2 if bad else 0
+            print(f"{r.tensor:10s} {r.method:7s} {_summary(r)}")
+        return 0 if all(r.converged for r in reports) else 2
     if not args.tensor or not args.method:
         raise ValueError("single runs need both --tensor and --method")
     a = _load_tensor(args.tensor, args.seed)
-    cfg_kwargs = {
+    overrides = {
         "tol": args.tol,
         "rng_seed": args.solver_seed,
         "power_index": args.q,
         "complex_shift": args.complex_shift,
     }
-    cfg_kwargs["iter_max"] = args.iter_max or (
-        30000 if args.method == "t-qrhs" else 3000
-    )
-    cfg = SolverConfig(**cfg_kwargs)
+    if args.iter_max is not None:
+        overrides["iter_max"] = args.iter_max
+    shift = _parse_shift(args.shift, a.n) if args.shift else None
     name = args.tensor if args.tensor in TENSOR_KINDS else Path(args.tensor).stem
-    if args.method == "t-pm":
-        rep = run_power(a, name, cfg)
-    elif args.method == "t-sipm":
-        if not args.shift:
-            raise ValueError("t-sipm needs --shift")
-        rep = run_inverse_power(a, name, _parse_shift(args.shift, a.n), cfg)
-    elif args.method in ("de", "dle", "ds"):
-        rep = run_deflation(a, name, args.num, args.method.upper(), cfg)
-    elif args.method == "t-si":
-        rep = run_subspace(a, name, args.num, cfg)
-    else:
-        rep = run_qr_shifted(a, name, cfg)
+    rep = run_method(
+        a, name, args.method, default_config(args.method, **overrides), args.num, shift
+    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     doc = _report_doc(rep)
     (out / f"{name}_{args.method}.json").write_text(json.dumps(doc, indent=1))
-    state = "ok" if rep.converged else "no convergence"
-    print(
-        f"{rep.tensor} {rep.method}: error={rep.error:.3e} res={rep.res_norm:.3e} "
-        f"iter={rep.iterations} [{state}]"
-    )
+    print(f"{rep.tensor} {rep.method}: {_summary(rep)}")
     return 0 if rep.converged else 2
 
 
@@ -169,10 +153,7 @@ def _cmd_spectrum(args):
     if out.suffix == ".json":
         doc = {
             "dims": list(a.shape),
-            "eigentubes": [
-                [[float(z.real), float(z.imag)] for z in t.spatial_values]
-                for t in spec.eigentubes
-            ],
+            "eigentubes": [_tube_to_lists(t) for t in spec.eigentubes],
             "norms": [t.norm() for t in spec.eigentubes],
         }
         out.write_text(json.dumps(doc, indent=1))

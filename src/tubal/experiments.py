@@ -5,9 +5,9 @@ tensor with geometrically scaled faces, a small column-stochastic tensor
 with fixed entries, a complex Gaussian tensor, and a similarity-built
 real tensor with real eigentubes.
 
-``run_table`` executes one benchmark suite and writes a CSV table,
-per-run convergence traces, and a JSON manifest with full-precision
-values.
+``run_method`` runs one solver and scores its result; ``run_table`` runs
+the rows of one of the :data:`TABLE_SPECS` and writes a CSV table, per-run
+convergence traces, and a JSON manifest with full-precision values.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import time
+from itertools import zip_longest
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -23,6 +24,7 @@ import numpy as np
 from .errors import NoConvergence, UnknownKind
 from .factorizations import facewise_sort_tubes, spectrum_of
 from .solvers import (
+    SchurResult,
     SolverConfig,
     deflated_power_sweep,
     t_inverse_power,
@@ -149,17 +151,12 @@ def _realeig_tensor(p, n, seed, base=4.0, ratio=0.55):
 # metrics
 
 
-def exact_eigentubes(a, k=None):
-    tubes = spectrum_of(a).eigentubes
-    return tubes if k is None else tubes[:k]
-
-
 def spectral_error(a, tubes):
     """Frobenius distance between the f-diagonal of the computed eigentubes
     and the f-diagonal of the reference spectrum, after facewise magnitude
     alignment of the computed tubes."""
     computed = facewise_sort_tubes(list(tubes))
-    exact = exact_eigentubes(a, len(computed))
+    exact = spectrum_of(a).eigentubes[: len(computed)]
     return (f_diagonal(computed) - f_diagonal(exact)).frob_norm()
 
 
@@ -192,21 +189,13 @@ class ExperimentReport:
     converged: bool
     wall_time: float
     extra: dict = field(default_factory=dict)
+    config: dict = field(default_factory=dict, repr=False)
     eigentubes: list = field(default_factory=list, repr=False)
     residual_trace: list = field(default_factory=list, repr=False)
     error_trace: list = field(default_factory=list, repr=False)
-    config: dict = field(default_factory=dict, repr=False)
     eigenslices: object = field(default=None, repr=False)
     schur_u: object = field(default=None, repr=False)
     schur_r: object = field(default=None, repr=False)
-
-
-def _config_echo(cfg):
-    doc = asdict(cfg)
-    shift = doc.get("shift")
-    if shift is not None:
-        doc["shift"] = _tube_to_lists(cfg.shift)
-    return doc
 
 
 def _tube_to_lists(t):
@@ -214,57 +203,97 @@ def _tube_to_lists(t):
     return [[float(z.real), float(z.imag)] for z in v]
 
 
-def run_power(a, tensor_name, cfg=None):
-    cfg = cfg or SolverConfig()
-    start = time.perf_counter()
-    try:
-        pair = t_power(a, cfg=cfg)
-    except NoConvergence as exc:
-        pair = exc.result
-    wall = time.perf_counter() - start
-    err = spectral_error(a, [pair.eigentube])
-    res = block_residual(a, [pair.eigenslice], [pair.eigentube])
-    return ExperimentReport(
-        tensor=tensor_name,
-        method="t-pm",
-        error=err,
-        res_norm=res,
-        iterations=pair.iterations,
-        converged=pair.converged,
-        wall_time=wall,
-        eigentubes=[_tube_to_lists(pair.eigentube)],
-        residual_trace=list(pair.residual_trace),
-        config=_config_echo(cfg),
-        eigenslices=concat_lateral([pair.eigenslice]),
-    )
+#: Every method a run can name, with the run parameters its report echoes
+#: in ``extra``.
+_METHOD_EXTRAS = {
+    "t-pm": (), "t-sipm": ("shift",), "de": ("num",), "dle": ("num",), "ds": ("num",),
+    "t-si": ("q", "num"), "t-qrhs": (),
+}
+METHODS = tuple(_METHOD_EXTRAS)
+DEFLATION_METHODS = ("de", "dle", "ds")
 
 
-def run_inverse_power(a, tensor_name, sigma, cfg=None):
-    cfg = cfg or SolverConfig()
+def default_config(method, **overrides):
+    """The :class:`SolverConfig` of a ``method`` run, with ``overrides``
+    replacing any field: the shifted QR iteration gets ten times the
+    iteration cap of the other methods."""
+    return SolverConfig(**{"iter_max": 30000 if method == "t-qrhs" else 3000, **overrides})
+
+
+def _solve(a, method, cfg, num, shift):
+    # the solvers are looked up by name on every call, so wrappers that
+    # replace them in this module take effect
+    if method == "t-pm":
+        return t_power(a, cfg=cfg)
+    if method == "t-sipm":
+        return t_inverse_power(a, shift, cfg=cfg)
+    if method in DEFLATION_METHODS:
+        return deflated_power_sweep(a, num, cfg=cfg)
+    if method == "t-si":
+        return t_subspace_iteration(a, num=num, cfg=cfg)
+    return t_qr_shifted(a, cfg=cfg)
+
+
+def run_method(a, tensor_name, method, cfg=None, num=4, shift=None):
+    """Run one solver on ``a`` and score its result.
+
+    ``method`` is one of :data:`METHODS`; the deflation methods run the
+    sweep with their own variant. ``num`` is the eigenpair count of the
+    deflation and subspace methods, and ``shift`` the tube that ``t-sipm``
+    needs. Only the solver call is timed, and a capped run is scored on
+    its partial result: spectral error (for ``t-sipm`` the distance to the
+    eigentube closest to the shift) and :func:`block_residual` for
+    eigenpairs, :func:`schur_residual` for Schur pairs. A power run in
+    which no step recovered an eigentube scores None.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    if method == "t-sipm" and shift is None:
+        raise ValueError("t-sipm needs a shift")
+    cfg = cfg or default_config(method)
+    if method in DEFLATION_METHODS:
+        cfg = replace(cfg, deflation_variant=method.upper())
     start = time.perf_counter()
     try:
-        pair = t_inverse_power(a, sigma, cfg=cfg)
+        result = _solve(a, method, cfg, num, shift)
     except NoConvergence as exc:
-        pair = exc.result
+        result = exc.result
     wall = time.perf_counter() - start
-    # the targeted eigentube is the one closest to the shift, facewise
-    exact = _closest_eigentube(a, sigma)
-    err = (pair.eigentube - exact).norm()
-    res = block_residual(a, [pair.eigenslice], [pair.eigentube])
-    return ExperimentReport(
+    params = {"q": cfg.power_index, "num": num}
+    if shift is not None:
+        params["shift"] = _tube_to_lists(shift)
+    pairs = result if isinstance(result, list) else [result]
+    rep = ExperimentReport(
         tensor=tensor_name,
-        method="t-sipm",
-        error=err,
-        res_norm=res,
-        iterations=pair.iterations,
-        converged=pair.converged,
+        method=method,
+        error=None,
+        res_norm=None,
+        iterations=sum(p.iterations for p in pairs),
+        converged=all(p.converged for p in pairs),
         wall_time=wall,
-        extra={"shift": _tube_to_lists(sigma)},
-        eigentubes=[_tube_to_lists(pair.eigentube)],
-        residual_trace=list(pair.residual_trace),
-        config=_config_echo(cfg),
-        eigenslices=concat_lateral([pair.eigenslice]),
+        extra={key: params[key] for key in _METHOD_EXTRAS[method]},
+        residual_trace=list(pairs[-1].residual_trace),
+        config=asdict(cfg),
     )
+    if isinstance(result, SchurResult):
+        tubes = result.diag_tubes()
+        rep.res_norm = schur_residual(a, result.u, result.r)
+        rep.error_trace = list(result.error_trace)
+        rep.schur_u, rep.schur_r = result.u, result.r
+    else:
+        tubes = [p.eigentube for p in pairs]
+        slices = [p.eigenslice for p in pairs]
+        rep.eigenslices = concat_lateral(slices)
+        if any(t is None for t in tubes):
+            return rep
+        rep.res_norm = block_residual(a, slices, tubes)
+    if method == "t-sipm":
+        # the targeted eigentube is the one closest to the shift, facewise
+        rep.error = (tubes[0] - _closest_eigentube(a, shift)).norm()
+    else:
+        rep.error = spectral_error(a, tubes)
+    rep.eigentubes = [_tube_to_lists(t) for t in tubes]
+    return rep
 
 
 def _closest_eigentube(a, sigma):
@@ -277,96 +306,95 @@ def _closest_eigentube(a, sigma):
     return Tube(np.fft.ifft(vals))
 
 
-def run_deflation(a, tensor_name, num, variant, cfg=None):
-    cfg = replace(cfg or SolverConfig(), deflation_variant=variant)
-    start = time.perf_counter()
-    pairs = deflated_power_sweep(a, num, cfg=cfg)
-    wall = time.perf_counter() - start
-    err = spectral_error(a, [p.eigentube for p in pairs])
-    res = block_residual(a, [p.eigenslice for p in pairs], [p.eigentube for p in pairs])
-    return ExperimentReport(
-        tensor=tensor_name,
-        method=variant.lower(),
-        error=err,
-        res_norm=res,
-        iterations=sum(p.iterations for p in pairs),
-        converged=all(p.converged for p in pairs),
-        wall_time=wall,
-        extra={"num": num},
-        eigentubes=[_tube_to_lists(p.eigentube) for p in pairs],
-        residual_trace=list(pairs[-1].residual_trace),
-        config=_config_echo(cfg),
-        eigenslices=concat_lateral([p.eigenslice for p in pairs]),
-    )
-
-
-def run_subspace(a, tensor_name, num, cfg=None):
-    cfg = cfg or SolverConfig()
-    start = time.perf_counter()
-    try:
-        res = t_subspace_iteration(a, num=num, cfg=cfg)
-    except NoConvergence as exc:
-        res = exc.result
-    wall = time.perf_counter() - start
-    tubes = res.diag_tubes()
-    err = spectral_error(a, tubes)
-    rn = schur_residual(a, res.u, res.r)
-    return ExperimentReport(
-        tensor=tensor_name,
-        method="t-si",
-        error=err,
-        res_norm=rn,
-        iterations=res.iterations,
-        converged=res.converged,
-        wall_time=wall,
-        extra={"q": cfg.power_index, "num": num},
-        eigentubes=[_tube_to_lists(t) for t in tubes],
-        residual_trace=list(res.residual_trace),
-        error_trace=list(res.error_trace),
-        config=_config_echo(cfg),
-        schur_u=res.u,
-        schur_r=res.r,
-    )
-
-
-def run_qr_shifted(a, tensor_name, cfg=None):
-    cfg = cfg or SolverConfig(iter_max=30000)
-    start = time.perf_counter()
-    try:
-        res = t_qr_shifted(a, cfg=cfg)
-    except NoConvergence as exc:
-        res = exc.result
-    wall = time.perf_counter() - start
-    tubes = res.diag_tubes()
-    err = spectral_error(a, tubes)
-    rn = schur_residual(a, res.u, res.r)
-    return ExperimentReport(
-        tensor=tensor_name,
-        method="t-qrhs",
-        error=err,
-        res_norm=rn,
-        iterations=res.iterations,
-        converged=res.converged,
-        wall_time=wall,
-        eigentubes=[_tube_to_lists(t) for t in tubes],
-        error_trace=list(res.error_trace),
-        config=_config_echo(cfg),
-        schur_u=res.u,
-        schur_r=res.r,
-    )
-
-
 # ---------------------------------------------------------------------------
 # tables
 
-TABLES = ("t2", "t3", "t5", "ts1", "t10")
 
-_TABLE_ALIASES = {
-    "power": "t2",
-    "inverse": "t3",
-    "deflation": "t5",
-    "subspace": "ts1",
-    "qr": "t10",
+@dataclass(frozen=True)
+class TableRow:
+    """One run of a table; ``shift`` is the first entry of the shift tube."""
+
+    kind: str
+    method: str
+    overrides: dict = field(default_factory=dict)
+    num: int = 4
+    shift: complex | None = None
+
+
+@dataclass(frozen=True)
+class TableSpec:
+    """A benchmark table: its alias, its rows in order, and its CSV layout.
+
+    Each report is one CSV line of ``columns``, with the ``blank`` ones left
+    empty; with ``wide``, the reports that share the ``wide`` columns make
+    one line instead, which repeats ``columns`` for each of them under
+    headers prefixed by its method.
+    """
+
+    alias: str
+    rows: tuple
+    columns: tuple
+    wide: tuple = ()
+    blank: tuple = ()
+
+
+_POWER_COLUMNS = ("tensor", "method", "res_norm", "error", "iter", "cpu_time")
+
+TABLE_SPECS = {
+    "t2": TableSpec(
+        "power",
+        tuple(TableRow(k, "t-pm") for k in ("tridiag", "stochastic", "complex")),
+        _POWER_COLUMNS,
+    ),
+    # this table's layout has no timing column worth filling in; the
+    # measured value still lands in the manifest
+    "t3": TableSpec(
+        "inverse",
+        (TableRow("tridiag", "t-sipm", shift=1e-5), TableRow("complex", "t-sipm", shift=1e-3)),
+        _POWER_COLUMNS,
+        blank=("cpu_time",),
+    ),
+    "t5": TableSpec(
+        "deflation",
+        tuple(
+            TableRow(k, method, num=num)
+            for k, nums in (("tridiag", (3, 5)), ("realeig", (4, 6)))
+            for num in nums
+            for method in DEFLATION_METHODS
+        ),
+        ("error", "res_norm", "time"),
+        wide=("tensor", "num"),
+    ),
+    "ts1": TableSpec(
+        "subspace",
+        tuple(
+            TableRow(k, "t-si", {"power_index": q})
+            for k in ("tridiag", "complex")
+            for q in (1, 4)
+        ),
+        ("tensor", "q", "error", "res_norm", "iter", "cpu_time"),
+    ),
+    "t10": TableSpec(
+        "qr",
+        (
+            TableRow("tridiag", "t-qrhs"),
+            TableRow("stochastic", "t-qrhs", {"complex_shift": True}),
+        ),
+        ("tensor", "method", "error", "res_norm", "cpu_time", "iter"),
+    ),
+}
+TABLES = tuple(TABLE_SPECS)
+
+_CELLS = {
+    "tensor": lambda r: r.tensor,
+    "method": lambda r: r.method,
+    "q": lambda r: r.extra["q"],
+    "num": lambda r: r.extra["num"],
+    "error": lambda r: _sci(r.error),
+    "res_norm": lambda r: _sci(r.res_norm),
+    "iter": lambda r: r.iterations,
+    "cpu_time": lambda r: f"{r.wall_time:.3f}",
+    "time": lambda r: f"{r.wall_time:.3f}",
 }
 
 
@@ -379,94 +407,57 @@ def _first_entry_shift(value, n):
 def run_table(table, out_dir, seed=DEFAULT_GAUSS_SEED, solver_seed=0):
     """Run one benchmark suite and write its CSV, traces, and manifest.
 
-    Returns the list of :class:`ExperimentReport` rows.
+    ``table`` is a name of :data:`TABLES` or its alias. Returns the list of
+    :class:`ExperimentReport` rows.
     """
-    table = _TABLE_ALIASES.get(table.lower(), table.lower())
-    if table not in TABLES:
-        raise ValueError(f"unknown table {table!r}; choose from {TABLES}")
+    key = table.lower()
+    name = next((t for t, spec in TABLE_SPECS.items() if key in (t, spec.alias)), None)
+    if name is None:
+        raise ValueError(f"unknown table {key!r}; choose from {TABLES}")
+    spec = TABLE_SPECS[name]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    tensors = {}
     reports = []
+    for row in spec.rows:
+        if row.kind not in tensors:
+            tensors[row.kind] = make_tensor(TestTensorSpec(row.kind, seed=seed))
+        a = tensors[row.kind]
+        shift = None if row.shift is None else _first_entry_shift(row.shift, a.n)
+        cfg = default_config(row.method, rng_seed=solver_seed, **row.overrides)
+        reports.append(run_method(a, row.kind, row.method, cfg, num=row.num, shift=shift))
 
-    if table == "t2":
-        for name in ("tridiag", "stochastic", "complex"):
-            a = make_tensor(TestTensorSpec(name, seed=seed))
-            reports.append(run_power(a, name, SolverConfig(rng_seed=solver_seed)))
-        header = ["tensor", "method", "res_norm", "error", "iter", "cpu_time"]
-        rows = [
-            [r.tensor, r.method, _sci(r.res_norm), _sci(r.error), r.iterations, f"{r.wall_time:.3f}"]
-            for r in reports
-        ]
-    elif table == "t3":
-        for name, s0 in (("tridiag", 1e-5), ("complex", 1e-3)):
-            a = make_tensor(TestTensorSpec(name, seed=seed))
-            sigma = _first_entry_shift(s0, a.n)
-            reports.append(
-                run_inverse_power(a, name, sigma, SolverConfig(rng_seed=solver_seed))
-            )
-        # this table's layout has no timing column worth filling in; the
-        # measured value still lands in the manifest
-        header = ["tensor", "method", "res_norm", "error", "iter", "cpu_time"]
-        rows = [
-            [r.tensor, r.method, _sci(r.res_norm), _sci(r.error), r.iterations, ""]
-            for r in reports
-        ]
-    elif table == "t5":
-        cases = [("tridiag", (3, 5)), ("realeig", (4, 6))]
-        header = ["tensor", "num"]
-        for v in ("de", "dle", "ds"):
-            header += [f"{v}_error", f"{v}_res_norm", f"{v}_time"]
-        rows = []
-        for name, nums in cases:
-            a = make_tensor(TestTensorSpec(name, seed=seed))
-            for num in nums:
-                row = [name, num]
-                for variant in ("DE", "DLE", "DS"):
-                    rep = run_deflation(
-                        a, name, num, variant, SolverConfig(rng_seed=solver_seed)
-                    )
-                    reports.append(rep)
-                    row += [_sci(rep.error), _sci(rep.res_norm), f"{rep.wall_time:.3f}"]
-                rows.append(row)
-    elif table == "ts1":
-        header = ["tensor", "q", "error", "res_norm", "iter", "cpu_time"]
-        rows = []
-        for name in ("tridiag", "complex"):
-            a = make_tensor(TestTensorSpec(name, seed=seed))
-            for q in (1, 4):
-                rep = run_subspace(
-                    a, name, 4, SolverConfig(rng_seed=solver_seed, power_index=q)
-                )
-                reports.append(rep)
-                rows.append(
-                    [name, q, _sci(rep.error), _sci(rep.res_norm), rep.iterations, f"{rep.wall_time:.3f}"]
-                )
-    else:  # t10
-        header = ["tensor", "method", "error", "res_norm", "cpu_time", "iter"]
-        rows = []
-        for name, cshift in (("tridiag", False), ("stochastic", True)):
-            a = make_tensor(TestTensorSpec(name, seed=seed))
-            rep = run_qr_shifted(
-                a,
-                name,
-                SolverConfig(rng_seed=solver_seed, iter_max=30000, complex_shift=cshift),
-            )
-            reports.append(rep)
-            rows.append(
-                [rep.tensor, rep.method, _sci(rep.error), _sci(rep.res_norm), f"{rep.wall_time:.3f}", rep.iterations]
-            )
-
-    _write_csv(out / f"{table}.csv", header, rows)
+    _write_csv(out / f"{name}.csv", *_csv_layout(spec, reports))
     for rep in reports:
-        _write_trace(out, table, rep)
+        _write_trace(out, name, rep)
     manifest = {
-        "table": table,
+        "table": name,
         "tensor_seed": seed,
         "solver_seed": solver_seed,
         "rows": [_report_doc(r) for r in reports],
     }
-    (out / f"{table}_manifest.json").write_text(json.dumps(manifest, indent=1))
+    (out / f"{name}_manifest.json").write_text(json.dumps(manifest, indent=1))
     return reports
+
+
+def _csv_layout(spec, reports):
+    """Header and lines of a table's CSV, as :class:`TableSpec` lays out."""
+
+    def cells(rep, columns):
+        return ["" if c in spec.blank else _CELLS[c](rep) for c in columns]
+
+    if not spec.wide:
+        return list(spec.columns), [cells(r, spec.columns) for r in reports]
+    lines = {}
+    for rep in reports:
+        lines.setdefault(tuple(cells(rep, spec.wide)), []).append(rep)
+    first = next(iter(lines.values()))
+    header = list(spec.wide) + [f"{r.method}_{c}" for r in first for c in spec.columns]
+    rows = [
+        list(lead) + [cell for r in group for cell in cells(r, spec.columns)]
+        for lead, group in lines.items()
+    ]
+    return header, rows
 
 
 def _sci(x):
@@ -490,33 +481,15 @@ def _trace_tag(rep):
 
 
 def _write_trace(out_dir, table, rep):
+    residuals = [f"{x:.16e}" for x in rep.residual_trace]
+    errors = [f"{x:.16e}" for x in rep.error_trace]
+    pairs = zip_longest(residuals, errors, fillvalue="")
+    rows = [[i, res, err] for i, (res, err) in enumerate(pairs, 1)]
     path = Path(out_dir) / f"{table}_{_trace_tag(rep)}.trace.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "residual", "error"])
-        nr, ne = len(rep.residual_trace), len(rep.error_trace)
-        for i in range(max(nr, ne)):
-            writer.writerow(
-                [
-                    i + 1,
-                    f"{rep.residual_trace[i]:.16e}" if i < nr else "",
-                    f"{rep.error_trace[i]:.16e}" if i < ne else "",
-                ]
-            )
+    _write_csv(path, ["iteration", "residual", "error"], rows)
 
 
 def _report_doc(rep):
-    return {
-        "tensor": rep.tensor,
-        "method": rep.method,
-        "error": rep.error,
-        "res_norm": rep.res_norm,
-        "iterations": rep.iterations,
-        "converged": rep.converged,
-        "wall_time": rep.wall_time,
-        "extra": rep.extra,
-        "config": rep.config,
-        "eigentubes": rep.eigentubes,
-        "residual_trace": rep.residual_trace,
-        "error_trace": rep.error_trace,
-    }
+    """The JSON fields of a report: all but its tensors."""
+    tensors = ("eigenslices", "schur_u", "schur_r")
+    return {k: v for k, v in vars(rep).items() if k not in tensors}

@@ -26,7 +26,7 @@ from .errors import (
     SingularShift,
     ZeroSlice,
 )
-from .factorizations import LU_PIVOT_RTOL, facewise_qr, t_hess, t_qr
+from .factorizations import LU_PIVOT_RTOL, _first_bad_face, facewise_qr, t_hess, t_qr
 from .tensors import (
     Tensor3,
     concat_lateral,
@@ -42,6 +42,14 @@ from .tensors import (
 )
 from .tubes import Tube, conjugate_even, tube_conj_t, tube_div, tube_mul, unit_tube
 
+#: Fresh random start slices a power-type iteration takes after a
+#: near-singular scaling tube before it raises :class:`DivisionFailure`.
+RESTARTS = 3
+
+#: Shifted QR sweeps without a deflation before the shift turns complex,
+#: and again before a complex-shift run is abandoned.
+STAGNATION_LIMIT = 500
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -50,24 +58,19 @@ class SolverConfig:
     ``tol`` drives the stabilization tests, ``iter_max`` caps the outer
     iterations (the shifted QR runs are usually given a larger cap),
     ``power_index`` is the number of tensor products per subspace
-    iteration step, and ``deflation_variant`` picks the pairing slice of
+    iteration step, ``deflation_variant`` picks the pairing slice of
     the deflation sweep: the computed eigenslice (DE), the left eigenslice
-    (DLE), or the orthonormalized Schur slice (DS).
+    (DLE), or the orthonormalized Schur slice (DS), ``rng_seed`` seeds the
+    random start slices, and ``complex_shift`` starts the shifted QR
+    iteration with its complex shift.
     """
 
     tol: float = 1e-15
     iter_max: int = 3000
     power_index: int = 1
-    shift: Tube | None = None
     deflation_variant: str = "DE"
     rng_seed: int = 0
     complex_shift: bool = False
-    deflation_eps: float | None = None
-    restarts: int = 3
-    stagnation_limit: int = 500
-    stall_window: int = 200
-    stall_ceiling: float = 1e-8
-    polish: bool = True
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -90,7 +93,7 @@ class _StallDetector:
     fixed point.
     """
 
-    def __init__(self, window, ceiling):
+    def __init__(self, window=200, ceiling=1e-8):
         self.window = window
         self.ceiling = ceiling
         self.best = np.inf
@@ -133,16 +136,9 @@ class SchurResult:
         return [Tube(self.r.data[j, j, :]) for j in range(self.r.p)]
 
 
-def random_lateral_slice(l, n, real, rng):
-    """Standard normal initial slice; complex entries get independent
-    normal real and imaginary parts."""
-    if real:
-        return Tensor3(rng.standard_normal((l, 1, n)))
-    data = rng.standard_normal((l, 1, n)) + 1j * rng.standard_normal((l, 1, n))
-    return Tensor3(data)
-
-
 def random_slice_set(l, m, n, real, rng):
+    """Standard normal initial slices; complex entries get independent
+    normal real and imaginary parts."""
     if real:
         return Tensor3(rng.standard_normal((l, m, n)))
     return Tensor3(
@@ -201,14 +197,14 @@ def _power_loop(a, v0, apply, recover, real, cfg, rng):
     ``recover(alpha)`` as the eigentube estimate. Random start and restart
     slices are real when ``real``.
     """
-    v = v0 if v0 is not None else random_lateral_slice(a.p, a.n, real, rng)
+    v = v0 if v0 is not None else random_slice_set(a.p, 1, a.n, real, rng)
     if v.p != 1 or v.l != a.p or v.n != a.n:
         raise DimensionMismatch("shape", v.shape, (a.p, 1, a.n))
     restarts = 0
     prev_alpha = lam = anchor = av = None
     trace = []
     resid = np.inf
-    stall = _StallDetector(cfg.stall_window, cfg.stall_ceiling)
+    stall = _StallDetector()
     k = 0
     while k < cfg.iter_max:
         k += 1
@@ -218,12 +214,12 @@ def _power_loop(a, v0, apply, recover, real, cfg, rng):
             alpha = Tube(w.data[anchor, 0, :])
             v_new = tensor_tube_div(w, alpha)
         except NearSingularTube as exc:
-            if restarts >= cfg.restarts:
+            if restarts >= RESTARTS:
                 raise DivisionFailure(
                     f"scaling tube stayed near singular after {restarts} restarts"
                 ) from exc
             restarts += 1
-            v = random_lateral_slice(a.p, a.n, real, rng)
+            v = random_slice_set(a.p, 1, a.n, real, rng)
             prev_alpha = anchor = av = None
             continue
         lam = recover(alpha)
@@ -252,7 +248,7 @@ def t_power(a, v0=None, cfg=None, rng=None):
     most ``cfg.tol`` relative to their magnitude, or once the stall
     detector reports that the iteration sits at its floating point noise
     floor. A near-singular scaling tube triggers a restart with a fresh
-    random slice, up to ``cfg.restarts`` times.
+    random slice, up to ``RESTARTS`` times.
     """
     _check_square(a)
     cfg = cfg or SolverConfig()
@@ -279,49 +275,40 @@ class _ShiftedSolver:
     def __init__(self, a, sigma):
         shifted = a - tensor_tube_mul(identity(a.p, a.n), sigma)
         self.real = shifted.is_real
-        self.n = a.n
         stack = shifted.fourier_faces()
-        self.factors = []
-        for f in range(a.n):
-            with warnings.catch_warnings():
-                # singularity is detected by the pivot gate below
-                warnings.simplefilter("ignore", sla.LinAlgWarning)
-                lu, piv = sla.lu_factor(stack[f])
-            pivmags = np.abs(np.diag(lu))
-            gate = LU_PIVOT_RTOL * max(1.0, float(np.linalg.norm(stack[f])))
-            if pivmags.min() <= gate:
-                raise SingularShift(
-                    f"face {f}: shifted tensor pivot {pivmags.min():.3e}"
-                )
-            self.factors.append((lu, piv))
+        with warnings.catch_warnings():
+            # singularity is detected by the pivot gate below
+            warnings.simplefilter("ignore", sla.LinAlgWarning)
+            self.factors = sla.lu_factor(stack)
+        pivmags = np.abs(np.diagonal(self.factors[0], axis1=1, axis2=2)).min(axis=1)
+        gates = LU_PIVOT_RTOL * np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
+        f = _first_bad_face(pivmags <= gates)
+        if f is not None:
+            raise SingularShift(f"face {f}: shifted tensor pivot {pivmags[f]:.3e}")
 
     def solve(self, v):
         vh = np.fft.fft(v.data[:, 0, :], axis=1)
-        out = np.empty_like(vh)
-        for f in range(self.n):
-            out[:, f] = sla.lu_solve(self.factors[f], vh[:, f])
-        data = np.fft.ifft(out, axis=1)
+        out = sla.lu_solve(self.factors, vh.T[:, :, None])
+        # a C-ordered slice: later transforms of it round differently on
+        # another memory layout
+        data = np.fft.ifft(np.ascontiguousarray(out[:, :, 0].T), axis=1)
         if self.real and v.is_real:
             data = data.real
         return Tensor3(data[:, None, :])
 
 
-def t_inverse_power(a, sigma=None, v0=None, cfg=None, rng=None):
+def t_inverse_power(a, sigma, v0=None, cfg=None, rng=None):
     """Shifted inverse iteration for the eigentube closest to ``sigma``.
 
     The shifted tensor is LU factored facewise once; each step solves for
     the next slice and rescales by its largest-norm tube alpha, which
     converges to the inverse of (lambda - sigma), so the eigentube is
     recovered as e / alpha + sigma. It stops and restarts like
-    :func:`t_power`. ``sigma`` falls back to ``cfg.shift``.
+    :func:`t_power`.
     """
     _check_square(a)
     cfg = cfg or SolverConfig()
     rng = rng if rng is not None else np.random.default_rng(cfg.rng_seed)
-    if sigma is None:
-        sigma = cfg.shift
-    if sigma is None:
-        raise ValueError("pass a shift tube or set cfg.shift")
     if sigma.n != a.n:
         raise DimensionMismatch("tubes", sigma.n, a.n)
     solver = _ShiftedSolver(a, sigma)
@@ -545,7 +532,7 @@ def t_subspace_iteration(a, num=None, x0=None, cfg=None, rng=None):
     err_trace = []
     resid_trace = []
     err = np.inf
-    stall = _StallDetector(cfg.stall_window, cfg.stall_ceiling)
+    stall = _StallDetector()
 
     def result(converged):
         u = _spatial_from_stack(q, n, half)
@@ -730,20 +717,17 @@ def t_qr_shifted(a, cfg=None):
     by the trailing diagonal entry of the active leading block (multiplied
     by 1 + i in complex-shift mode), takes one Givens QR step of that
     block, and deflates its trailing row once the subdiagonal tube at the
-    active corner drops below ``cfg.deflation_eps`` (default
-    ``1e-14 * ||A||_F``). Restricting the step to the active block keeps
-    converged subdiagonals from regrowing. If the active corner makes no
-    progress for ``cfg.stagnation_limit`` sweeps the shift switches to the
-    complex variant once, then the run is abandoned. On success the
-    computed pair is polished facewise against the original tensor (see
-    :func:`_polish_schur_face`) unless ``cfg.polish`` is false.
+    active corner drops below ``1e-14 * ||A||_F``. Restricting the step to
+    the active block keeps converged subdiagonals from regrowing. If the
+    active corner makes no progress for ``STAGNATION_LIMIT`` sweeps the
+    shift switches to the complex variant once, then the run is abandoned.
+    On success the computed pair is polished facewise against the original
+    tensor (see :func:`_polish_schur_face`).
     """
     _check_square(a)
     cfg = cfg or SolverConfig()
     p, n = a.p, a.n
-    eps = cfg.deflation_eps
-    if eps is None:
-        eps = 1e-14 * a.frob_norm()
+    eps = 1e-14 * a.frob_norm()
     hess = t_hess(a)
     hs = hess.h.fourier_faces().copy()
     us = hess.w.fourier_faces().copy()
@@ -757,7 +741,7 @@ def t_qr_shifted(a, cfg=None):
 
     def finish(converged, iterations):
         nonlocal hs, us
-        if converged and cfg.polish:
+        if converged:
             for f in range(n):
                 us[f], hs[f] = _polish_schur_face(a_faces[f], us[f], hs[f])
         snap = a.is_real and not complex_mode
@@ -789,7 +773,7 @@ def t_qr_shifted(a, cfg=None):
                 return finish(True, k)
         else:
             stagnant += 1
-            if stagnant >= cfg.stagnation_limit:
+            if stagnant >= STAGNATION_LIMIT:
                 if not complex_mode:
                     complex_mode = True
                     stagnant = 0

@@ -4,13 +4,14 @@ import json
 import numpy as np
 import pytest
 
-from tubal import SolverConfig, UnknownKind, spectrum_of
+from tubal import SolverConfig, Tensor3, UnknownKind, read_tensor, spectrum_of, write_tensor
 from tubal.cli import main
 from tubal.experiments import (
+    METHODS,
     TestTensorSpec,
     block_residual,
     make_tensor,
-    run_power,
+    run_method,
     run_table,
     spectral_error,
 )
@@ -58,7 +59,7 @@ def test_make_unknown_kind():
 
 def test_metrics_recomputable_from_report():
     a = make_tensor(TestTensorSpec("stochastic"))
-    rep = run_power(a, "stochastic", SolverConfig(rng_seed=0))
+    rep = run_method(a, "stochastic", "t-pm", SolverConfig(rng_seed=0))
     # rebuild the eigentube from the serialized spatial entries and recompute
     from tubal import Tube
 
@@ -98,6 +99,9 @@ def test_run_table_t2_rows(tmp_path):
 def test_run_table_t10_rows(tmp_path):
     reports = run_table("t10", tmp_path)
     assert [r.tensor for r in reports] == ["tridiag", "stochastic"]
+    with open(tmp_path / "t10.csv") as fh:
+        header = next(csv.reader(fh))
+    assert header == ["tensor", "method", "error", "res_norm", "cpu_time", "iter"]
     assert all(r.converged for r in reports)
     assert all(r.error <= 1e-12 for r in reports)
 
@@ -108,7 +112,9 @@ def test_run_table_t5_rows(tmp_path):
     assert len(reports) == 12
     with open(tmp_path / "t5.csv") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0][:2] == ["tensor", "num"]
+    assert rows[0] == ["tensor", "num"] + [
+        f"{v}_{c}" for v in ("de", "dle", "ds") for c in ("error", "res_norm", "time")
+    ]
     assert [r[:2] for r in rows[1:]] == [
         ["tridiag", "3"], ["tridiag", "5"], ["realeig", "4"], ["realeig", "6"]
     ]
@@ -119,6 +125,9 @@ def test_run_table_ts1_rows(tmp_path):
     assert [(r.tensor, r.extra["q"]) for r in reports] == [
         ("tridiag", 1), ("tridiag", 4), ("complex", 1), ("complex", 4)
     ]
+    with open(tmp_path / "ts1.csv") as fh:
+        header = next(csv.reader(fh))
+    assert header == ["tensor", "q", "error", "res_norm", "iter", "cpu_time"]
     # the tridiag rows converge and the larger power index needs fewer steps
     assert reports[0].converged and reports[1].converged
     assert reports[1].iterations < reports[0].iterations
@@ -211,6 +220,10 @@ def test_cli_nonconvergence_exit_code(tmp_path):
 def test_cli_usage_errors(tmp_path, capsys):
     assert main(["run", "--tensor", "tridiag"]) == 1  # missing method
     assert main(["run", "--tensor", "tridiag", "--method", "t-sipm", "--out", str(tmp_path)]) == 1
+    # an explicit cap of 0 is passed on and rejected, not replaced by the default
+    for method in ("t-pm", "t-qrhs"):
+        args = ["run", "--tensor", "tridiag", "--method", method, "--iter-max", "0"]
+        assert main(args + ["--out", str(tmp_path)]) == 1
     assert main(["gen", "--tensor", "stochastic", "--dims", "3,3", "--out", "x.t3b"]) == 1
     assert main(["spectrum", "--tensor", "missing.t3b", "--out", "s.csv"]) == 1
 
@@ -218,3 +231,35 @@ def test_cli_usage_errors(tmp_path, capsys):
 def test_cli_run_table_smoke(tmp_path):
     assert main(["run", "--table", "t3", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "t3.csv").exists()
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_cli_run_every_method(tmp_path, method):
+    args = ["run", "--tensor", "tridiag", "--method", method, "--out", str(tmp_path)]
+    if method == "t-sipm":
+        args += ["--shift", "1e-5,0"]
+    assert main(args) == 0
+    doc = json.loads((tmp_path / f"tridiag_{method}.json").read_text())
+    assert doc["method"] == method and doc["converged"] is True
+    assert doc["error"] <= 1e-10 and doc["res_norm"] <= 1e-10
+
+
+def test_cli_run_without_recovered_eigentube(tmp_path, capsys, monkeypatch):
+    # three equal faces leave Fourier faces 1 and 2 zero, so the first
+    # scaling tube is singular and a one-step run recovers no eigentube
+    face = np.arange(16.0).reshape(4, 4) + 4 * np.eye(4)
+    path = tmp_path / "same.t3b"
+    write_tensor(Tensor3(np.stack([face] * 3, axis=2)), path)
+    args = ["run", "--tensor", str(path), "--method", "t-pm", "--iter-max", "1"]
+    assert main(args + ["--out", str(tmp_path)]) == 2
+    assert "error=n/a res=n/a" in capsys.readouterr().out
+    doc = json.loads((tmp_path / "same_t-pm.json").read_text())
+    assert doc["error"] is None and doc["res_norm"] is None
+    assert doc["eigentubes"] == [] and doc["converged"] is False
+
+    # the table summary prints the same row the same way
+    rep = run_method(read_tensor(path), "same", "t-pm", SolverConfig(iter_max=1))
+    assert rep.error is None and rep.res_norm is None and rep.eigentubes == []
+    monkeypatch.setattr("tubal.cli.run_table", lambda *args, **kwargs: [rep])
+    assert main(["run", "--table", "t2", "--out", str(tmp_path)]) == 2
+    assert "error=n/a res=n/a" in capsys.readouterr().out
