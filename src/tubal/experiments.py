@@ -189,6 +189,7 @@ class ExperimentReport:
     converged: bool
     wall_time: float
     extra: dict = field(default_factory=dict)
+    stop_reasons: list = field(default_factory=list)
     config: dict = field(default_factory=dict, repr=False)
     eigentubes: list = field(default_factory=list, repr=False)
     residual_trace: list = field(default_factory=list, repr=False)
@@ -272,6 +273,7 @@ def run_method(a, tensor_name, method, cfg=None, num=4, shift=None):
         converged=all(p.converged for p in pairs),
         wall_time=wall,
         extra={key: params[key] for key in _METHOD_EXTRAS[method]},
+        stop_reasons=[p.stop_reason for p in pairs],
         residual_trace=list(pairs[-1].residual_trace),
         config=asdict(cfg),
     )
@@ -297,13 +299,9 @@ def run_method(a, tensor_name, method, cfg=None, num=4, shift=None):
 
 
 def _closest_eigentube(a, sigma):
-    spec = spectrum_of(a)
-    sh = sigma.fourier_values
-    vals = np.empty(a.n, dtype=np.complex128)
-    for f in range(a.n):
-        face = spec.face_values[f]
-        vals[f] = face[int(np.argmin(np.abs(face - sh[f])))]
-    return Tube(np.fft.ifft(vals))
+    faces = spectrum_of(a).face_values
+    near = np.argmin(np.abs(faces - sigma.fourier_values[:, None]), axis=1)
+    return Tube(np.fft.ifft(faces[np.arange(a.n), near]))
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,7 @@ result, so harnesses can still report it.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -37,10 +36,9 @@ from .tensors import (
     slice_inner,
     slice_normalize,
     t_product,
-    tensor_tube_div,
     tensor_tube_mul,
 )
-from .tubes import Tube, conjugate_even, tube_conj_t, tube_div, tube_mul, unit_tube
+from .tubes import Tube, _check_divisor, conjugate_even, tube_conj_t, tube_div, tube_mul, unit_tube
 
 #: Fresh random start slices a power-type iteration takes after a
 #: near-singular scaling tube before it raises :class:`DivisionFailure`.
@@ -110,25 +108,30 @@ class _StallDetector:
 
 @dataclass
 class EigenPair:
-    """One computed eigenpair with convergence telemetry."""
+    """One computed eigenpair with convergence telemetry. ``stop_reason``
+    says why the iteration stopped: ``"tol"`` (the stabilization test),
+    ``"stall"`` (the stall detector) or ``"cap"`` (``iter_max``)."""
 
     eigentube: Tube
     eigenslice: Tensor3
     residual_norm: float
     iterations: int
     converged: bool
+    stop_reason: str
     residual_trace: list = field(default_factory=list, repr=False)
 
 
 @dataclass
 class SchurResult:
     """Partial or full Schur-type output: f-unitary slices U and the
-    compressed tensor R = U^H * A * U."""
+    compressed tensor R = U^H * A * U. ``stop_reason`` is as for
+    :class:`EigenPair`."""
 
     u: Tensor3
     r: Tensor3
     iterations: int
     converged: bool
+    stop_reason: str
     error_trace: list = field(default_factory=list, repr=False)
     residual_trace: list = field(default_factory=list, repr=False)
 
@@ -157,86 +160,138 @@ def t_max(x):
     return Tube(x.data[int(np.argmax(norms)), 0, :])
 
 
-def _anchored_scaling_row(w, anchor):
-    """Row index of the scaling tube for a power step.
-
-    Plain argmax of the row norms, except that a previously used anchor row
-    is kept while its norm stays above a tenth of the maximum. Rows of the
-    limiting eigenslice can trade the argmax back and forth (tube norms are
-    not multiplicative), in which case a bare argmax alternates forever and
-    the iterate sequence never settles even though its span converges; the
-    hysteresis pins one representative without changing the fixed points,
-    and still abandons a row whose component genuinely dies out.
-    """
-    norms = np.linalg.norm(w.data[:, 0, :], axis=1)
-    top = norms.max()
-    if top == 0.0:
-        raise ZeroSlice("every tube of the slice is zero")
-    cand = int(np.argmax(norms))
-    if anchor is not None and norms[anchor] >= 0.1 * top:
-        return anchor
-    return cand
-
-
 def _check_square(a):
     if a.l != a.p:
         raise DimensionMismatch("rows", a.l, a.p)
 
 
 # ---------------------------------------------------------------------------
-# power iteration
+# power iteration and shifted inverse iteration
 
 
-def _power_loop(a, v0, apply, recover, real, cfg, rng):
-    """The iteration shared by :func:`t_power` and :func:`t_inverse_power`,
-    with the stopping and restart rules described for :func:`t_power`.
+def _fourier_stack(t, half):
+    """Fourier faces of ``t`` as a contiguous (faces, l, p) stack; with
+    ``half`` (real tensors) only the leading n // 2 + 1 faces."""
+    if half:
+        return np.ascontiguousarray(np.moveaxis(np.fft.rfft(t.data.real, axis=2), 2, 0))
+    return np.ascontiguousarray(t.fourier_faces())
 
-    Each step maps the slice v to ``w = apply(v, av)``, where ``av`` is
-    A * v when the previous step already formed it and None after a start
-    or restart, divides w by its anchored row tube alpha, and takes
-    ``recover(alpha)`` as the eigentube estimate. Random start and restart
-    slices are real when ``real``.
+
+def _spatial_from_stack(stack, n, half):
+    """Inverse of :func:`_fourier_stack`."""
+    if half:
+        return Tensor3(np.fft.irfft(np.moveaxis(stack, 0, 2), n=n, axis=2))
+    return Tensor3.from_fourier_faces(stack)
+
+
+def _shifted_solver(stack):
+    """LU factor each face of a (faces, p, p) stack once; return the solve
+    of face f against face f of a (faces, p, 1) stack.
+
+    The faces go to LAPACK ``getrf`` and ``getrs`` one at a time: at the
+    paper's sizes a call per face costs far less than scipy's batched
+    ``lu_factor`` / ``lu_solve``, which loop over the faces in Python. A
+    face whose smallest pivot falls below ``LU_PIVOT_RTOL`` relative to its
+    norm raises :class:`SingularShift` naming the first such face.
     """
+    getrf, getrs = sla.get_lapack_funcs(("getrf", "getrs"), (stack,))
+    factors = [getrf(face)[:2] for face in stack]
+    pivmags = np.array([np.abs(np.diagonal(lu)).min() for lu, _ in factors])
+    gates = LU_PIVOT_RTOL * np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
+    f = _first_bad_face(~(pivmags > gates))
+    if f is not None:
+        raise SingularShift(f"face {f}: shifted tensor pivot {pivmags[f]:.3e}")
+    return lambda vh: np.stack([getrs(lu, piv, b)[0] for (lu, piv), b in zip(factors, vh)])
+
+
+def _power_loop(a, v0, sigma, cfg, rng):
+    """The iteration shared by :func:`t_power` (``sigma`` None) and
+    :func:`t_inverse_power`, with the stopping and restart rules described
+    for :func:`t_power`.
+
+    Each step maps the slice v to w = A * v, or with a shift to the
+    solution of (A - sigma * I) * w = v, divides w by its anchored row tube
+    alpha, and takes alpha, or e / alpha + sigma, as the eigentube
+    estimate. A, v, w and alpha stay Fourier face stacks, the leading
+    n // 2 + 1 faces when A, sigma and the start slice are real: the row
+    norms and every stopping metric come from the stacks by Parseval, the
+    tube division is facewise, and only the returned pair is transformed
+    back. Random start and restart slices are real when A and sigma are.
+    """
+    _check_square(a)
+    cfg = cfg or SolverConfig()
+    rng = rng if rng is not None else np.random.default_rng(cfg.rng_seed)
+    if sigma is not None and sigma.n != a.n:
+        raise DimensionMismatch("tubes", sigma.n, a.n)
+    real = a.is_real and (sigma is None or sigma.is_real)
     v = v0 if v0 is not None else random_slice_set(a.p, 1, a.n, real, rng)
     if v.p != 1 or v.l != a.p or v.n != a.n:
         raise DimensionMismatch("shape", v.shape, (a.p, 1, a.n))
+    n = a.n
+    half = real and v.is_real
+    ahat = _fourier_stack(a, half)
+    if sigma is not None:
+        sig = _fourier_stack(Tensor3(sigma.spatial_values[None, None, :]), half)
+        solve = _shifted_solver(ahat - sig * np.eye(a.p))
+    # Parseval weights of the faces in the row norms
+    weights = np.full(len(ahat), 1.0 / n)
+    if half:
+        weights[1 : (n + 1) // 2] *= 2.0
+    vh = _fourier_stack(v, half)
+    av = ahat @ vh
     restarts = 0
-    prev_alpha = lam = anchor = av = None
+    prev_alpha = lam = anchor = None
     trace = []
     resid = np.inf
     stall = _StallDetector()
+
+    def result(last, reason):
+        tube = None if lam is None else Tube(np.fft.irfft(lam, n) if half else np.fft.ifft(lam))
+        v = _spatial_from_stack(last, n, half)
+        return EigenPair(tube, v, resid, k, reason != "cap", reason, trace)
+
     k = 0
     while k < cfg.iter_max:
         k += 1
-        w = apply(v, av)
+        w = av if sigma is None else solve(vh)
+        rows = np.sqrt(weights @ (w.real**2 + w.imag**2)[:, :, 0])
+        if rows.max() == 0.0:
+            raise ZeroSlice("every tube of the slice is zero")
+        # the anchor row is kept while its norm stays above a tenth of the
+        # largest: rows of the limiting eigenslice can trade the argmax back
+        # and forth (tube norms are not multiplicative), and a bare argmax
+        # would then never let the iterates settle although their span
+        # converges; a row whose component genuinely dies out is abandoned
+        if anchor is None or rows[anchor] < 0.1 * rows.max():
+            anchor = int(np.argmax(rows))
+        alpha = w[:, anchor, 0]
         try:
-            anchor = _anchored_scaling_row(w, anchor)
-            alpha = Tube(w.data[anchor, 0, :])
-            v_new = tensor_tube_div(w, alpha)
+            _check_divisor(np.abs(alpha))
         except NearSingularTube as exc:
             if restarts >= RESTARTS:
                 raise DivisionFailure(
                     f"scaling tube stayed near singular after {restarts} restarts"
                 ) from exc
             restarts += 1
-            v = random_slice_set(a.p, 1, a.n, real, rng)
-            prev_alpha = anchor = av = None
+            vh = _fourier_stack(random_slice_set(a.p, 1, n, real, rng), half)
+            av = ahat @ vh
+            prev_alpha = anchor = None
             continue
-        lam = recover(alpha)
-        av = t_product(a, v_new)
-        resid = (av - tensor_tube_mul(v_new, lam)).frob_norm()
+        v_new = w / alpha[:, None, None]
+        lam = alpha if sigma is None else 1.0 / alpha + sig[:, 0, 0]
+        av = ahat @ v_new
+        resid = fourier_norm(av - v_new * lam[:, None, None], n)
         trace.append(resid)
         if prev_alpha is not None:
-            dv = (v_new - v).frob_norm()
-            da = (alpha - prev_alpha).norm()
-            anorm = max(1.0, alpha.norm())
-            if (dv <= cfg.tol and da <= cfg.tol * anorm) or stall.converged(
-                max(dv / max(1.0, v_new.frob_norm()), da / anorm)
-            ):
-                return EigenPair(lam, v_new, resid, k, True, trace)
-        v, prev_alpha = v_new, alpha
-    partial = EigenPair(lam, v, resid, k, False, trace)
-    raise NoConvergence(k, resid, result=partial)
+            dv = fourier_norm(v_new - vh, n)
+            da = fourier_norm(alpha - prev_alpha, n)
+            anorm = max(1.0, fourier_norm(alpha, n))
+            if dv <= cfg.tol and da <= cfg.tol * anorm:
+                return result(v_new, "tol")
+            if stall.converged(max(dv / max(1.0, fourier_norm(v_new, n)), da / anorm)):
+                return result(v_new, "stall")
+        vh, prev_alpha = v_new, alpha
+    raise NoConvergence(k, resid, result=result(vh, "cap"))
 
 
 def t_power(a, v0=None, cfg=None, rng=None):
@@ -245,83 +300,25 @@ def t_power(a, v0=None, cfg=None, rng=None):
     Each step applies the tensor and rescales by the largest-norm row tube,
     which pins that row to the unit tube; iteration stops once consecutive
     slices move by at most ``cfg.tol`` and consecutive scaling tubes by at
-    most ``cfg.tol`` relative to their magnitude, or once the stall
-    detector reports that the iteration sits at its floating point noise
-    floor. A near-singular scaling tube triggers a restart with a fresh
-    random slice, up to ``RESTARTS`` times.
+    most ``cfg.tol`` relative to their magnitude (stop reason ``"tol"``),
+    or once the stall detector reports that the iteration sits at its
+    floating point noise floor (``"stall"``). A near-singular scaling tube
+    triggers a restart with a fresh random slice, up to ``RESTARTS`` times.
+    A step is one batched matrix product on the Fourier faces.
     """
-    _check_square(a)
-    cfg = cfg or SolverConfig()
-    rng = rng if rng is not None else np.random.default_rng(cfg.rng_seed)
-    return _power_loop(
-        a,
-        v0,
-        lambda v, av: av if av is not None else t_product(a, v),
-        lambda alpha: alpha,
-        a.is_real,
-        cfg,
-        rng,
-    )
-
-
-# ---------------------------------------------------------------------------
-# shifted inverse power iteration
-
-
-class _ShiftedSolver:
-    """Facewise LU factorization of A - shift * I, factored once and
-    reused for every inner solve."""
-
-    def __init__(self, a, sigma):
-        shifted = a - tensor_tube_mul(identity(a.p, a.n), sigma)
-        self.real = shifted.is_real
-        stack = shifted.fourier_faces()
-        with warnings.catch_warnings():
-            # singularity is detected by the pivot gate below
-            warnings.simplefilter("ignore", sla.LinAlgWarning)
-            self.factors = sla.lu_factor(stack)
-        pivmags = np.abs(np.diagonal(self.factors[0], axis1=1, axis2=2)).min(axis=1)
-        gates = LU_PIVOT_RTOL * np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
-        f = _first_bad_face(pivmags <= gates)
-        if f is not None:
-            raise SingularShift(f"face {f}: shifted tensor pivot {pivmags[f]:.3e}")
-
-    def solve(self, v):
-        vh = np.fft.fft(v.data[:, 0, :], axis=1)
-        out = sla.lu_solve(self.factors, vh.T[:, :, None])
-        # a C-ordered slice: later transforms of it round differently on
-        # another memory layout
-        data = np.fft.ifft(np.ascontiguousarray(out[:, :, 0].T), axis=1)
-        if self.real and v.is_real:
-            data = data.real
-        return Tensor3(data[:, None, :])
+    return _power_loop(a, v0, None, cfg, rng)
 
 
 def t_inverse_power(a, sigma, v0=None, cfg=None, rng=None):
     """Shifted inverse iteration for the eigentube closest to ``sigma``.
 
-    The shifted tensor is LU factored facewise once; each step solves for
-    the next slice and rescales by its largest-norm tube alpha, which
-    converges to the inverse of (lambda - sigma), so the eigentube is
-    recovered as e / alpha + sigma. It stops and restarts like
-    :func:`t_power`.
+    The Fourier faces of the shifted tensor are LU factored once (see
+    :func:`_shifted_solver`); each step solves for the next slice and
+    rescales by its largest-norm tube alpha, which converges to the inverse
+    of (lambda - sigma), so the eigentube is recovered as e / alpha + sigma.
+    It stops and restarts like :func:`t_power`.
     """
-    _check_square(a)
-    cfg = cfg or SolverConfig()
-    rng = rng if rng is not None else np.random.default_rng(cfg.rng_seed)
-    if sigma.n != a.n:
-        raise DimensionMismatch("tubes", sigma.n, a.n)
-    solver = _ShiftedSolver(a, sigma)
-    e = unit_tube(a.n)
-    return _power_loop(
-        a,
-        v0,
-        lambda v, av: solver.solve(v),
-        lambda alpha: tube_div(e, alpha) + sigma,
-        a.is_real and sigma.is_real,
-        cfg,
-        rng,
-    )
+    return _power_loop(a, v0, sigma, cfg, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +400,10 @@ def deflated_power_sweep(a, num, cfg=None):
     previous ones (DS). Reported eigenslices are mapped back to eigenslices
     of the original tensor: DE and DLE results are corrected stage by stage
     through the deflation relation, DS results come from the triangular
-    compression over the accumulated Schur basis.
+    compression over the accumulated Schur basis. A stage that hits the
+    iteration cap raises :class:`NoConvergence` whose result lists the
+    completed stages, mapped back as on success, then the partial pair of
+    the capped power iteration.
     """
     _check_square(a)
     cfg = cfg or SolverConfig()
@@ -418,9 +418,52 @@ def deflated_power_sweep(a, num, cfg=None):
     zs = []  # the slice used in each rank-one update
     vs = []  # the pairing slice of each update
     qs = []  # DS: accumulated Schur slices
-    stage_stats = []
+    stages = []  # the power pair of each completed stage
+
+    def mapped_back():
+        count = len(stages)
+        if variant == "DS":
+            qtens = concat_lateral(qs)
+            r = t_product(t_product(conj_transpose(qtens), a), qtens)
+            tubes = [Tube(r.data[j, j, :]) for j in range(count)]
+            slices = [_triangular_eigen_slice(qtens, r, j) for j in range(count)]
+        else:
+            tubes = lambdas
+            slices = []
+            for m in range(count):
+                y = zs[m]
+                for j in range(m - 1, -1, -1):
+                    try:
+                        gamma = tube_div(
+                            tube_mul(lambdas[j], slice_inner(vs[j], y)),
+                            lambdas[m] - lambdas[j],
+                        )
+                    except NearSingularTube as exc:
+                        raise ShiftCollision(
+                            f"eigentubes {m} and {j} coincide on a face"
+                        ) from exc
+                    y = y + tensor_tube_mul(zs[j], gamma)
+                ynorm, _ = slice_normalize(y)
+                slices.append(ynorm)
+        pairs = []
+        for lam, x, st in zip(tubes, slices, stages):
+            resid = (t_product(a, x) - tensor_tube_mul(x, lam)).frob_norm()
+            pairs.append(replace(st, eigentube=lam, eigenslice=x, residual_norm=resid))
+        return pairs
+
     for _ in range(num):
-        pair = t_power(a_cur, cfg=cfg, rng=rng)
+        try:
+            pair = t_power(a_cur, cfg=cfg, rng=rng)
+            if variant == "DLE":
+                left = t_power(conj_transpose(a_cur), cfg=cfg, rng=rng)
+        except NoConvergence as exc:
+            done = mapped_back() if stages else []
+            raise NoConvergence(
+                sum(p.iterations for p in done) + exc.iterations,
+                exc.last_residual,
+                result=done + [exc.result],
+                detail=f"stage {len(done) + 1} of {num} hit the cap",
+            ) from exc
         lam = pair.eigentube
         z, _ = slice_normalize(pair.eigenslice)
         if variant == "DS":
@@ -431,7 +474,6 @@ def deflated_power_sweep(a, num, cfg=None):
             if variant == "DE":
                 v = z
             else:
-                left = t_power(conj_transpose(a_cur), cfg=cfg, rng=rng)
                 w, _ = slice_normalize(left.eigenslice)
                 pairing = slice_inner(w, z)
                 try:
@@ -444,58 +486,12 @@ def deflated_power_sweep(a, num, cfg=None):
             zs.append(z)
             vs.append(v)
         lambdas.append(lam)
-        stage_stats.append((pair.iterations, pair.converged, pair.residual_trace))
-
-    pairs = []
-    if variant == "DS":
-        qtens = concat_lateral(qs)
-        r = t_product(t_product(conj_transpose(qtens), a), qtens)
-        tubes = [Tube(r.data[j, j, :]) for j in range(num)]
-        slices = [_triangular_eigen_slice(qtens, r, j) for j in range(num)]
-    else:
-        tubes = lambdas
-        slices = []
-        for m in range(num):
-            y = zs[m]
-            for j in range(m - 1, -1, -1):
-                try:
-                    gamma = tube_div(
-                        tube_mul(lambdas[j], slice_inner(vs[j], y)),
-                        lambdas[m] - lambdas[j],
-                    )
-                except NearSingularTube as exc:
-                    raise ShiftCollision(
-                        f"eigentubes {m} and {j} coincide on a face"
-                    ) from exc
-                y = y + tensor_tube_mul(zs[j], gamma)
-            ynorm, _ = slice_normalize(y)
-            slices.append(ynorm)
-    for m in range(num):
-        resid = (
-            t_product(a, slices[m]) - tensor_tube_mul(slices[m], tubes[m])
-        ).frob_norm()
-        iters, ok, tr = stage_stats[m]
-        pairs.append(EigenPair(tubes[m], slices[m], resid, iters, ok, tr))
-    return pairs
+        stages.append(pair)
+    return mapped_back()
 
 
 # ---------------------------------------------------------------------------
 # subspace iteration
-
-
-def _fourier_stack(t, half):
-    """Fourier faces of ``t`` as a contiguous (faces, l, p) stack; with
-    ``half`` (real tensors) only the leading n // 2 + 1 faces."""
-    if half:
-        return np.ascontiguousarray(np.moveaxis(np.fft.rfft(t.data.real, axis=2), 2, 0))
-    return np.ascontiguousarray(t.fourier_faces())
-
-
-def _spatial_from_stack(stack, n, half):
-    """Inverse of :func:`_fourier_stack`."""
-    if half:
-        return Tensor3(np.fft.irfft(np.moveaxis(stack, 0, 2), n=n, axis=2))
-    return Tensor3.from_fourier_faces(stack)
 
 
 def t_subspace_iteration(a, num=None, x0=None, cfg=None, rng=None):
@@ -534,10 +530,10 @@ def t_subspace_iteration(a, num=None, x0=None, cfg=None, rng=None):
     err = np.inf
     stall = _StallDetector()
 
-    def result(converged):
+    def result(reason):
         u = _spatial_from_stack(q, n, half)
         rr = _spatial_from_stack(r, n, half)
-        return SchurResult(u, rr, k, converged, err_trace, resid_trace)
+        return SchurResult(u, rr, k, reason != "cap", reason, err_trace, resid_trace)
 
     k = 0
     while k < cfg.iter_max:
@@ -552,10 +548,12 @@ def t_subspace_iteration(a, num=None, x0=None, cfg=None, rng=None):
             scale = max(1.0, fourier_norm(r, n))
             err = fourier_norm(np.tril(r - r_prev), n)
             err_trace.append(err)
-            if err <= cfg.tol * scale or stall.converged(err / scale):
-                return result(True)
+            if err <= cfg.tol * scale:
+                return result("tol")
+            if stall.converged(err / scale):
+                return result("stall")
         r_prev = r
-    raise NoConvergence(k, err, result=result(False))
+    raise NoConvergence(k, err, result=result("cap"))
 
 
 # ---------------------------------------------------------------------------
@@ -602,10 +600,10 @@ def t_qr_unshifted(a, cfg=None, keep_history=False):
         err = f_tril(a_k, strict=True).frob_norm()
         err_trace.append(err)
         if err <= cfg.tol * max(1.0, scale):
-            result = SchurResult(q_acc, a_k, k, True, err_trace, [])
+            result = SchurResult(q_acc, a_k, k, True, "tol", err_trace, [])
             result.history = history
             return result
-    partial = SchurResult(q_acc, a_k, k, False, err_trace, [])
+    partial = SchurResult(q_acc, a_k, k, False, "cap", err_trace, [])
     partial.history = history
     raise NoConvergence(k, err, result=partial)
 
@@ -720,7 +718,8 @@ def t_qr_shifted(a, cfg=None):
     active corner drops below ``1e-14 * ||A||_F``. Restricting the step to
     the active block keeps converged subdiagonals from regrowing. If the
     active corner makes no progress for ``STAGNATION_LIMIT`` sweeps the
-    shift switches to the complex variant once, then the run is abandoned.
+    shift switches to the complex variant once, then the run is abandoned
+    with stop reason ``"stall"`` and ``converged`` False.
     On success the computed pair is polished facewise against the original
     tensor (see :func:`_polish_schur_face`).
     """
@@ -739,9 +738,9 @@ def t_qr_shifted(a, cfg=None):
     k = 0
     sqrt_n = np.sqrt(n)
 
-    def finish(converged, iterations):
+    def finish(reason, iterations):
         nonlocal hs, us
-        if converged:
+        if reason == "tol":
             for f in range(n):
                 us[f], hs[f] = _polish_schur_face(a_faces[f], us[f], hs[f])
         snap = a.is_real and not complex_mode
@@ -749,13 +748,14 @@ def t_qr_shifted(a, cfg=None):
             Tensor3.from_fourier_faces(us, real=snap and conjugate_even(us)),
             Tensor3.from_fourier_faces(hs, real=snap and conjugate_even(hs)),
             iterations,
-            converged,
+            reason == "tol",
+            reason,
             err_trace,
             [],
         )
 
     if p == 1:
-        return finish(True, 0)
+        return finish("tol", 0)
     while k < cfg.iter_max:
         k += 1
         for f in range(n):
@@ -770,7 +770,7 @@ def t_qr_shifted(a, cfg=None):
             r -= 1
             stagnant = 0
             if r == 1:
-                return finish(True, k)
+                return finish("tol", k)
         else:
             stagnant += 1
             if stagnant >= STAGNATION_LIMIT:
@@ -781,12 +781,12 @@ def t_qr_shifted(a, cfg=None):
                     raise NoConvergence(
                         k,
                         sub,
-                        result=finish(False, k),
+                        result=finish("stall", k),
                         detail=f"stalled with {r} rows still active",
                     )
     raise NoConvergence(
         k,
         err_trace[-1] if err_trace else None,
-        result=finish(False, k),
+        result=finish("cap", k),
         detail=f"{r} rows still active",
     )

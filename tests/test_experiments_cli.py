@@ -4,12 +4,21 @@ import json
 import numpy as np
 import pytest
 
-from tubal import SolverConfig, Tensor3, UnknownKind, read_tensor, spectrum_of, write_tensor
+from tubal import (
+    SolverConfig,
+    Tensor3,
+    UnknownKind,
+    deflated_power_sweep,
+    read_tensor,
+    spectrum_of,
+    write_tensor,
+)
 from tubal.cli import main
 from tubal.experiments import (
     METHODS,
     TestTensorSpec,
     block_residual,
+    default_config,
     make_tensor,
     run_method,
     run_table,
@@ -71,6 +80,26 @@ def test_metrics_recomputable_from_report():
     )
 
 
+def test_capped_deflation_scores_every_stage():
+    a = make_tensor("realeig")
+    stages = deflated_power_sweep(a, 6, cfg=default_config("de"))
+    stage_iters = [p.iterations for p in stages]
+    assert max(stage_iters) > 350
+    capped = next(i for i, it in enumerate(stage_iters) if it > 350)
+    rep = run_method(a, "realeig", "de", default_config("de", iter_max=350), num=6)
+    assert not rep.converged
+    assert rep.iterations == sum(stage_iters[:capped]) + 350
+    assert len(rep.eigentubes) == capped + 1
+    assert rep.stop_reasons == [p.stop_reason for p in stages[:capped]] + ["cap"]
+    assert rep.error is not None and rep.res_norm is not None
+
+
+def test_stall_stop_is_reported():
+    # the stochastic power row stops at its noise floor, not at tol
+    rep = run_method(make_tensor("stochastic"), "stochastic", "t-pm")
+    assert rep.converged and rep.stop_reasons == ["stall"]
+
+
 def test_run_table_t3_writes_outputs(tmp_path):
     reports = run_table("t3", tmp_path)
     assert (tmp_path / "t3.csv").exists()
@@ -104,6 +133,7 @@ def test_run_table_t10_rows(tmp_path):
     assert header == ["tensor", "method", "error", "res_norm", "cpu_time", "iter"]
     assert all(r.converged for r in reports)
     assert all(r.error <= 1e-12 for r in reports)
+    assert all(r.stop_reasons == ["tol"] for r in reports)
 
 
 def test_run_table_t5_rows(tmp_path):
@@ -118,6 +148,11 @@ def test_run_table_t5_rows(tmp_path):
     assert [r[:2] for r in rows[1:]] == [
         ["tridiag", "3"], ["tridiag", "5"], ["realeig", "4"], ["realeig", "6"]
     ]
+    manifest = json.loads((tmp_path / "t5_manifest.json").read_text())
+    assert [len(row["stop_reasons"]) for row in manifest["rows"]] == [
+        row["extra"]["num"] for row in manifest["rows"]
+    ]
+    assert all(set(row["stop_reasons"]) <= {"tol", "stall"} for row in manifest["rows"])
 
 
 def test_run_table_ts1_rows(tmp_path):
@@ -130,6 +165,8 @@ def test_run_table_ts1_rows(tmp_path):
     assert header == ["tensor", "q", "error", "res_norm", "iter", "cpu_time"]
     # the tridiag rows converge and the larger power index needs fewer steps
     assert reports[0].converged and reports[1].converged
+    manifest = json.loads((tmp_path / "ts1_manifest.json").read_text())
+    assert [row["stop_reasons"] for row in manifest["rows"]][:2] == [["tol"], ["tol"]]
     assert reports[1].iterations < reports[0].iterations
 
 

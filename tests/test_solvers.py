@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
 from conftest import f_hermitian_tensor, random_tensor, tridiag_tensor
@@ -32,11 +33,14 @@ from tubal import (
     t_qr_shifted,
     t_qr_unshifted,
     t_subspace_iteration,
+    tensor_tube_div,
     tensor_tube_mul,
+    tube_div,
     unit_tube,
     zeros,
 )
 from tubal import solvers
+from tubal.experiments import make_tensor
 
 
 def spectral_distance(tubes, exact):
@@ -95,7 +99,7 @@ def test_t_max_zero_slice():
 
 def test_power_identity_converges_immediately():
     pair = t_power(identity(3, 4), v0=canonical_slice(3, 0, 4))
-    assert pair.converged and pair.iterations <= 3
+    assert pair.converged and pair.iterations <= 3 and pair.stop_reason == "tol"
     assert (pair.eigentube - unit_tube(4)).norm() <= 1e-14
     assert pair.residual_norm <= 1e-14
 
@@ -164,7 +168,7 @@ def test_power_no_convergence_carries_partial():
         t_power(a, cfg=SolverConfig(rng_seed=0, iter_max=5))
     partial = info.value.result
     assert partial is not None and not partial.converged
-    assert partial.iterations == 5
+    assert partial.iterations == 5 and partial.stop_reason == "cap"
 
 
 def test_power_rejects_bad_slice_shape(rng):
@@ -233,6 +237,137 @@ def test_power_family_restarts_on_singular_scaling_tube(case, monkeypatch):
     with pytest.raises(DivisionFailure) as info:
         solve(SolverConfig(rng_seed=0))
     assert isinstance(info.value.__cause__, NearSingularTube)
+
+
+# The spatial power loop the solvers ran before they kept their iterates as
+# Fourier face stacks: a t-product (or a facewise solve) per step, the anchor
+# row from spatial row norms, a tube division, and spatial norms throughout.
+# Kept as the reference for the Fourier-resident loop.
+
+
+def _reference_power_loop(a, v0, sigma, iter_max, rng):
+    real = a.is_real and (sigma is None or sigma.is_real)
+    v = v0 if v0 is not None else solvers.random_slice_set(a.p, 1, a.n, real, rng)
+    if sigma is not None:
+        shifted = a - tensor_tube_mul(identity(a.p, a.n), sigma)
+        faces = shifted.fourier_faces()
+    trace = []
+    anchor = prev_alpha = lam = None
+    for _ in range(iter_max):
+        if sigma is None:
+            w = t_product(a, v)
+        else:
+            vh = np.fft.fft(v.data[:, 0, :], axis=1)
+            cols = np.stack([np.linalg.solve(m, b) for m, b in zip(faces, vh.T)])
+            data = np.fft.ifft(cols.T, axis=1)
+            w = Tensor3((data.real if shifted.is_real and v.is_real else data)[:, None, :])
+        norms = np.linalg.norm(w.data[:, 0, :], axis=1)
+        if anchor is None or norms[anchor] < 0.1 * norms.max():
+            anchor = int(np.argmax(norms))
+        alpha = Tube(w.data[anchor, 0, :])
+        try:
+            v_new = tensor_tube_div(w, alpha)
+        except NearSingularTube:
+            v = solvers.random_slice_set(a.p, 1, a.n, real, rng)
+            anchor = prev_alpha = None
+            continue
+        lam = alpha if sigma is None else tube_div(unit_tube(a.n), alpha) + sigma
+        trace.append((t_product(a, v_new) - tensor_tube_mul(v_new, lam)).frob_norm())
+        v, prev_alpha = v_new, alpha
+    return lam, v, trace
+
+
+def _run_capped(solve, cfg):
+    try:
+        return solve(cfg)
+    except NoConvergence as exc:
+        return exc.result
+
+
+def _power_family_case(rng, n, start, method):
+    real = start != "complex"
+    a = random_tensor(rng, 4, 4, n, real=real)
+    sigma = None
+    if method == "inverse_power":
+        sigma = Tube(np.eye(1, n)[0] * (0.3 if real else 0.3 + 0.2j))
+    v0 = None
+    if start == "complex_flagged":
+        v0 = Tensor3(rng.standard_normal((4, 1, n)), real=False)
+    elif start == "singular":
+        v0 = Tensor3(np.ones((4, 1, n)))
+    return a, sigma, v0
+
+
+@pytest.mark.parametrize("method", ["power", "inverse_power"])
+@pytest.mark.parametrize("start", ["real", "complex", "complex_flagged"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+def test_power_family_matches_spatial_reference(rng, n, start, method):
+    a, sigma, v0 = _power_family_case(rng, n, start, method)
+    cfg = SolverConfig(rng_seed=7, iter_max=10)
+    if sigma is None:
+        pair = _run_capped(lambda c: t_power(a, v0=v0, cfg=c), cfg)
+    else:
+        pair = _run_capped(lambda c: t_inverse_power(a, sigma, v0=v0, cfg=c), cfg)
+    lam, v, trace = _reference_power_loop(a, v0, sigma, 10, np.random.default_rng(7))
+    assert pair.iterations == 10 and pair.stop_reason == "cap"
+    assert_allclose(pair.residual_trace, trace, rtol=1e-8)
+    scale = lam.norm()
+    assert_allclose(pair.eigentube.spatial_values, lam.spatial_values, rtol=1e-8, atol=1e-8 * scale)
+    assert_allclose(pair.eigenslice.data, v.data, rtol=1e-8, atol=1e-8)
+    # real operator and real start: the half spectrum gives real results
+    if start == "real":
+        assert pair.eigenslice.is_real and pair.eigentube.is_real
+
+
+@pytest.mark.parametrize("method", ["power", "inverse_power"])
+@pytest.mark.parametrize("n", [3, 4, 7])
+def test_power_family_restart_on_half_spectrum(rng, n, method):
+    # a start slice of constant tubes has zero Fourier faces 1 .. n - 1, so
+    # the first scaling tube is singular and the run restarts
+    a, sigma, v0 = _power_family_case(rng, n, "singular", method)
+    cfg = SolverConfig(rng_seed=3, iter_max=10)
+    if sigma is None:
+        pair = _run_capped(lambda c: t_power(a, v0=v0, cfg=c), cfg)
+    else:
+        pair = _run_capped(lambda c: t_inverse_power(a, sigma, v0=v0, cfg=c), cfg)
+    lam, v, trace = _reference_power_loop(a, v0, sigma, 10, np.random.default_rng(3))
+    assert len(pair.residual_trace) == len(trace) == 9
+    assert_allclose(pair.residual_trace, trace, rtol=1e-8)
+    assert_allclose(pair.eigentube.spatial_values, lam.spatial_values, rtol=1e-8, atol=1e-8 * lam.norm())
+    assert pair.eigenslice.is_real
+
+
+def test_power_anchor_row_by_spatial_norm():
+    # row 1 has the larger spatial norm (sqrt(1.37) against 1) but the
+    # smaller sum over the leading Fourier faces, so the anchor needs the
+    # conjugate faces counted twice; the identity tensor keeps the slice
+    data = np.zeros((4, 1, 4))
+    data[0, 0] = [1.0, 0.0, 0.0, 0.0]
+    data[1, 0] = [0.3, 0.8, 0.0, -0.8]
+    with pytest.raises(NoConvergence) as info:
+        t_power(identity(4, 4), v0=Tensor3(data), cfg=SolverConfig(iter_max=1))
+    assert_allclose(info.value.result.eigentube.spatial_values, data[1, 0], atol=1e-15)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+@pytest.mark.parametrize("real", [True, False], ids=["half", "full"])
+@pytest.mark.parametrize("n", [4, 5, 8])
+def test_singular_shift_names_first_bad_face(rng, n, real):
+    # shift a real f-diagonal tensor onto its leading eigentube on faces 1
+    # and n - 1 only, so those two faces of A - sigma * I are singular; a
+    # complex shift makes the run factor every face
+    a, tubes = well_separated_f_diagonal(rng, 3, n)
+    offset = np.full(n, 0.05) if real else np.full(n, 0.05 + 0.05j)
+    offset[[1, n - 1]] = 0.0
+    vals = np.fft.ifft(tubes[0].fourier_values + offset)
+    sigma = Tube(vals.real if real else vals)
+    faces = a.fourier_faces() - sigma.fourier_values[:, None, None] * np.eye(3)
+    pivots = np.array([np.abs(np.diag(sla.lu_factor(m)[0])).min() for m in faces])
+    gates = solvers.LU_PIVOT_RTOL * np.maximum(1.0, np.linalg.norm(faces, axis=(1, 2)))
+    first = int(np.argmax(pivots <= gates))
+    assert first == 1
+    with pytest.raises(SingularShift, match=f"^face {first}:"):
+        t_inverse_power(a, sigma, cfg=SolverConfig(rng_seed=0))
 
 
 def test_inverse_power_singular_shift(rng):
@@ -337,6 +472,29 @@ def test_sweep_full_spectrum_f_hermitian(rng, variant):
     d = f_diagonal(got)
     res = (t_product(a, u) - t_product(u, d)).frob_norm()
     assert res <= 1e-8 * max(1.0, a.frob_norm())
+
+
+@pytest.mark.parametrize("variant", ["DE", "DS"])
+def test_capped_sweep_lists_every_stage(variant):
+    a = make_tensor("realeig")
+    full = deflated_power_sweep(a, 6, cfg=SolverConfig(deflation_variant=variant))
+    stage_iters = [p.iterations for p in full]
+    cap = max(stage_iters) - 1
+    capped = stage_iters.index(max(stage_iters))
+    with pytest.raises(NoConvergence) as info:
+        deflated_power_sweep(a, 6, cfg=SolverConfig(deflation_variant=variant, iter_max=cap))
+    pairs = info.value.result
+    # the completed stages, mapped back as on success, then the capped one
+    assert len(pairs) == capped + 1
+    assert [p.iterations for p in pairs] == stage_iters[:capped] + [cap]
+    assert info.value.iterations == sum(stage_iters[:capped]) + cap
+    assert [p.stop_reason for p in pairs] == [p.stop_reason for p in full[:capped]] + ["cap"]
+    if variant == "DE":
+        # DE maps stage m back with stages 0 .. m - 1 only
+        for got, want in zip(pairs[:capped], full):
+            assert got.eigentube == want.eigentube
+            assert np.array_equal(got.eigenslice.data, want.eigenslice.data)
+    assert not pairs[-1].converged
 
 
 def test_sweep_rejects_bad_count():
