@@ -20,7 +20,7 @@ from .errors import (
     SingularFace,
 )
 from .tensors import Tensor3, f_diagonal, identity, slice_normalize, tensor_tube_mul
-from .tubes import FOURIER, Tube, conjugate_even, is_conjugate_even
+from .tubes import Tube, conjugate_even
 
 #: Relative window within which face eigenvalue magnitudes count as tied.
 TIE_RTOL = 1e-12
@@ -32,10 +32,11 @@ NULL_RTOL = 1e-10
 LU_PIVOT_RTOL = 1e-13
 
 
-def _leading_faces(a):
+def _leading_faces(a, stack=None):
     """Fourier faces of ``a`` as an (faces, l, p) stack: all n of them, or
-    for a real tensor the leading floor(n/2) + 1 that determine the rest."""
-    stack = a.fourier_faces()
+    for a real tensor the leading floor(n/2) + 1 that determine the rest.
+    ``stack`` is ``a.fourier_faces()`` when the caller has it already."""
+    stack = a.fourier_faces() if stack is None else stack
     return stack[: a.n // 2 + 1] if a.is_real else stack
 
 
@@ -71,13 +72,13 @@ def _phase_fix(vs):
     return vs * np.where(nz, np.conj(pivot) / np.where(nz, mag, 1.0), 1.0)[:, None]
 
 
-def _maybe_real_tube(vals_hat):
-    """Tube from Fourier entries, snapped to real when conjugate-even."""
-    t = Tube(vals_hat, FOURIER)
-    spat = t.spatial_values
-    if is_conjugate_even(t, tol=1e-13):
-        spat = spat.real
-    return Tube(spat)
+def _maybe_real_tubes(cols_hat):
+    """Tubes whose Fourier entries are the columns of the (n, k) array
+    ``cols_hat``, from one inverse transform; each is snapped to real when
+    its column is conjugate-even within 1e-13 of its largest entry."""
+    spat = np.fft.ifft(cols_hat, axis=0)
+    even = conjugate_even(cols_hat, tol=1e-13, columns=True)
+    return [Tube(col.real if e else col) for col, e in zip(spat.T, even)]
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +210,7 @@ def t_svd(a):
     k = sv.shape[1]
     ss = np.zeros(stack.shape, dtype=np.complex128)
     ss[:, range(k), range(k)] = sv
-    tubes = [_maybe_real_tube(col) for col in _mirror(sv, a.n).T]
+    tubes = _maybe_real_tubes(_mirror(sv, a.n))
     sigma = np.array([t.norm() for t in tubes])
     vs = np.conj(np.swapaxes(vhs, 1, 2))
     return TSvdResult(_stitch(us, a), _stitch(ss, a), _stitch(vs, a), tubes, sigma)
@@ -223,7 +224,8 @@ def t_det(a):
     """Determinant tube: Fourier entry i is det of Fourier face i."""
     if a.l != a.p:
         raise DimensionMismatch("rows", a.l, a.p)
-    return _maybe_real_tube(_mirror(np.linalg.det(_leading_faces(a)), a.n))
+    dets = _mirror(np.linalg.det(_leading_faces(a)), a.n)
+    return _maybe_real_tubes(dets[:, None])[0]
 
 
 def char_poly_eval(a, x):
@@ -235,44 +237,49 @@ def char_poly_eval(a, x):
 # spectrum
 
 
-def _sort_face_eigs(vals):
-    """Magnitude-descending order with a deterministic tie rule.
+def _block_ids(key, win):
+    """Block number of each entry along the last axis of a descending
+    ``key``: a new block starts where the key drops by more than ``win``."""
+    return np.cumsum(-np.diff(key, axis=-1, prepend=key[..., :1]) > win, axis=-1)
 
-    Magnitudes within ``TIE_RTOL`` (relative to the face spectrum scale) of
-    each other are ordered by descending real part, then descending
-    imaginary part. The real-part comparison uses the same window, so a
-    conjugate pair whose computed magnitudes differ by one ulp still orders
-    consistently however the eigensolver happened to round.
+
+def _sort_face_eigs(vals):
+    """Sort each row of ``vals`` (the eigenvalues of one face) by
+    descending magnitude. Magnitudes each within ``TIE_RTOL`` (times the
+    row's largest, at least 1) of the one before form a block, sorted by
+    descending real part; real parts likewise tied form a sub-block, sorted
+    by descending imaginary part. The sorts are stable, and the real-part
+    window orders a conjugate pair the same however its magnitudes round.
     """
     vals = np.asarray(vals, dtype=np.complex128)
-    if vals.size == 0:
-        return vals
-    win = TIE_RTOL * max(1.0, float(np.abs(vals).max()))
+    win = TIE_RTOL * np.maximum(1.0, np.abs(vals).max(axis=-1, keepdims=True))
 
-    def blocks(items, key):
-        items = sorted(items, key=lambda z: -key(z))
-        out, cur = [], [items[0]]
-        for z in items[1:]:
-            if key(cur[-1]) - key(z) <= win:
-                cur.append(z)
-            else:
-                out.append(cur)
-                cur = [z]
-        out.append(cur)
-        return out
-
-    result = []
-    for mag_block in blocks(list(vals), abs):
-        for re_block in blocks(mag_block, lambda z: z.real):
-            result.extend(sorted(re_block, key=lambda z: -z.imag))
-    return np.array(result)
+    # hypot rounds like the scalar abs; numpy's vectorized complex abs can
+    # differ from it in the last bit
+    mag = np.hypot(vals.real, vals.imag)
+    order = np.argsort(-mag, axis=-1, kind="stable")
+    vals = np.take_along_axis(vals, order, axis=-1)
+    block = _block_ids(np.take_along_axis(mag, order, axis=-1), win)
+    vals = np.take_along_axis(vals, np.lexsort((-vals.real, block), axis=-1), axis=-1)
+    # ids that grow where either the magnitude or the real-part block ends
+    block = block + _block_ids(vals.real, win)
+    return np.take_along_axis(vals, np.lexsort((-vals.imag, block), axis=-1), axis=-1)
 
 
-def _face_eigvals(m):
-    scale = float(np.linalg.norm(m))
-    if np.allclose(m, m.conj().T, rtol=0.0, atol=1e-13 * max(1.0, scale)):
-        return np.linalg.eigvalsh(m).astype(np.complex128)
-    return np.linalg.eigvals(m)
+def _face_eigvals(stack):
+    """Eigenvalues of every face of a square (faces, p, p) stack: one
+    batched ``eigvalsh`` call on the faces that are Hermitian within 1e-13
+    of their norm (at least 1), one batched ``eigvals`` call on the rest."""
+    atol = 1e-13 * np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
+    herm = np.isclose(
+        stack, np.conj(np.swapaxes(stack, 1, 2)), rtol=0.0, atol=atol[:, None, None]
+    ).all(axis=(1, 2))
+    vals = np.empty(stack.shape[:2], dtype=np.complex128)
+    if herm.any():
+        vals[herm] = np.linalg.eigvalsh(stack[herm])
+    if not herm.all():
+        vals[~herm] = np.linalg.eigvals(stack[~herm])
+    return vals
 
 
 def facewise_sort_tubes(tubes):
@@ -281,11 +288,8 @@ def facewise_sort_tubes(tubes):
     This is the alignment convention for comparing computed eigentubes with
     a reference spectrum.
     """
-    n = tubes[0].n
     mat = np.stack([t.fourier_values for t in tubes], axis=1)  # (n, k)
-    for f in range(n):
-        mat[f] = _sort_face_eigs(mat[f])
-    return [_maybe_real_tube(mat[:, j]) for j in range(len(tubes))]
+    return _maybe_real_tubes(_sort_face_eigs(mat))
 
 
 class EigentubeSpectrum:
@@ -311,61 +315,57 @@ class EigentubeSpectrum:
     def to_f_diagonal(self):
         return f_diagonal(self.eigentubes)
 
-    def algebraic_f_multiplicity(self, j, rtol=1e-8):
+    def _shifted_faces(self, j):
         lam = self.face_values[:, j]
-        counts = []
-        for f in range(self.face_values.shape[0]):
-            vals = self.face_values[f]
-            scale = max(1.0, float(np.abs(vals).max()))
-            counts.append(int(np.sum(np.abs(vals - lam[f]) <= rtol * scale)))
-        return min(counts)
+        return self._faces - lam[:, None, None] * np.eye(self.p)
+
+    def algebraic_f_multiplicity(self, j, rtol=1e-8):
+        vals = self.face_values
+        scale = np.maximum(1.0, np.abs(vals).max(axis=1, keepdims=True))
+        close = np.abs(vals - vals[:, j : j + 1]) <= rtol * scale
+        return int(close.sum(axis=1).min())
 
     def geometric_f_multiplicity(self, j, rtol=1e-8):
-        lam = self.face_values[:, j]
-        dims = []
-        for f, m in enumerate(self._faces):
-            shifted = m - lam[f] * np.eye(m.shape[0])
-            s = np.linalg.svd(shifted, compute_uv=False)
-            gate = rtol * max(1.0, float(s.max()) if s.size else 1.0)
-            dims.append(int(np.sum(s <= gate)))
-        return min(dims)
+        return int(_nullity(self._shifted_faces(j), rtol).min())
 
     def index_of(self, j, rtol=1e-8):
         """Smallest k at which the null space of (A - lambda * I)^k stops
         growing, taken facewise with the maximum over faces."""
-        lam = self.face_values[:, j]
         worst = 1
-        for f, m in enumerate(self._faces):
-            p = m.shape[0]
-            shifted = m - lam[f] * np.eye(p)
-            prev = _nullity(shifted, rtol)
-            k = 1
-            power = shifted
-            while k < p:
+        for shifted in self._shifted_faces(j):
+            prev, k, power = _nullity(shifted, rtol), 1, shifted
+            while k < self.p:
                 power = power @ shifted
                 cur = _nullity(power, rtol)
                 if cur == prev:
                     break
-                prev = cur
-                k += 1
+                prev, k = cur, k + 1
             worst = max(worst, k)
         return worst
 
 
 def _nullity(m, rtol):
+    """Number of singular values of m (each face of a stack) at most rtol
+    times the largest (at least 1)."""
     s = np.linalg.svd(m, compute_uv=False)
-    gate = rtol * max(1.0, float(s.max()) if s.size else 1.0)
-    return int(np.sum(s <= gate))
+    return (s <= rtol * np.maximum(1.0, s.max(axis=-1, keepdims=True))).sum(axis=-1)
 
 
 def spectrum_of(a):
-    """Eigentubes of a square tensor via a dense eigensolver per face."""
+    """Eigentubes of a square tensor from the eigenvalues of its faces.
+
+    A is transformed once; its leading faces that are Hermitian within 1e-13
+    of their norm go to one batched ``eigvalsh`` call, the rest to one
+    batched ``eigvals`` call. All n faces are sorted by descending magnitude,
+    ties within ``TIE_RTOL`` by descending real, then imaginary part (see
+    :func:`_sort_face_eigs`). Eigentube j is the inverse transform of column j.
+    """
     if a.l != a.p:
         raise DimensionMismatch("rows", a.l, a.p)
-    raw = _mirror(np.array([_face_eigvals(m) for m in _leading_faces(a)]), a.n)
-    face_values = np.stack([_sort_face_eigs(v) for v in raw])
-    tubes = [_maybe_real_tube(col) for col in face_values.T]
-    return EigentubeSpectrum(tubes, face_values, a.fourier_faces())
+    faces = a.fourier_faces()
+    raw = _mirror(_face_eigvals(_leading_faces(a, faces)), a.n)
+    face_values = _sort_face_eigs(raw)
+    return EigentubeSpectrum(_maybe_real_tubes(face_values), face_values, faces)
 
 
 # ---------------------------------------------------------------------------
@@ -471,17 +471,13 @@ def in_range(a, y, rtol=NULL_RTOL):
         raise DimensionMismatch("columns", y.p, 1)
     if a.l != y.l or a.n != y.n:
         raise DimensionMismatch("rows", (a.l, a.n), (y.l, y.n))
-    stack = a.fourier_faces()
-    ys = np.fft.fft(y.data[:, 0, :], axis=1)
-    for f in range(a.n):
-        u, s, _ = np.linalg.svd(stack[f])
-        smax = float(s.max()) if s.size else 0.0
-        rank = int(np.sum(s > rtol * smax)) if smax > 0 else 0
-        ur = u[:, :rank]
-        resid = ys[:, f] - ur @ (ur.conj().T @ ys[:, f])
-        if np.linalg.norm(resid) > rtol * max(1.0, np.linalg.norm(ys[:, f])):
-            return False
-    return True
+    u, s, _ = np.linalg.svd(a.fourier_faces(), full_matrices=False)
+    ys = np.fft.fft(y.data[:, 0, :], axis=1).T[:, :, None]  # (n, l, 1)
+    keep = s > rtol * s.max(axis=1, keepdims=True)  # the facewise range
+    uh_y = keep[:, :, None] * (np.conj(np.swapaxes(u, 1, 2)) @ ys)
+    resid = np.linalg.norm((ys - u @ uh_y)[:, :, 0], axis=1)
+    ynorm = np.linalg.norm(ys[:, :, 0], axis=1)
+    return not (resid > rtol * np.maximum(1.0, ynorm)).any()
 
 
 def t_inverse(a, rtol=1e-13):

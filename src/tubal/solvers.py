@@ -403,7 +403,9 @@ def deflated_power_sweep(a, num, cfg=None):
     compression over the accumulated Schur basis. A stage that hits the
     iteration cap raises :class:`NoConvergence` whose result lists the
     completed stages, mapped back as on success, then the partial pair of
-    the capped power iteration.
+    the capped power iteration; when the left iteration of a DLE stage hits
+    the cap, that stage's converged right pair is mapped back in its place,
+    marked not converged with stop reason "cap".
     """
     _check_square(a)
     cfg = cfg or SolverConfig()
@@ -451,18 +453,27 @@ def deflated_power_sweep(a, num, cfg=None):
             pairs.append(replace(st, eigentube=lam, eigenslice=x, residual_norm=resid))
         return pairs
 
-    for _ in range(num):
+    for stage in range(1, num + 1):
+        pair = None
         try:
             pair = t_power(a_cur, cfg=cfg, rng=rng)
             if variant == "DLE":
                 left = t_power(conj_transpose(a_cur), cfg=cfg, rng=rng)
         except NoConvergence as exc:
+            partial = [exc.result]
+            if pair is not None:
+                # the left iteration hit the cap: the stage's converged
+                # right pair is the eigenpair estimate, mapped back as such
+                zs.append(slice_normalize(pair.eigenslice)[0])
+                lambdas.append(pair.eigentube)
+                stages.append(replace(pair, converged=False, stop_reason="cap"))
+                partial = []
             done = mapped_back() if stages else []
             raise NoConvergence(
                 sum(p.iterations for p in done) + exc.iterations,
                 exc.last_residual,
-                result=done + [exc.result],
-                detail=f"stage {len(done) + 1} of {num} hit the cap",
+                result=done + partial,
+                detail=f"stage {stage} of {num} hit the cap",
             ) from exc
         lam = pair.eigentube
         z, _ = slice_normalize(pair.eigenslice)

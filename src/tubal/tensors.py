@@ -430,7 +430,7 @@ def slice_norm(y):
 
 
 # ---------------------------------------------------------------------------
-# triangular masks in the Fourier domain
+# triangular mask in the Fourier domain
 
 
 def f_tril(a, strict=False):
@@ -441,11 +441,4 @@ def f_tril(a, strict=False):
     stack = a.fourier_faces()
     k = -1 if strict else 0
     mask = np.tril(np.ones((a.l, a.p)), k=k)
-    return Tensor3.from_fourier_faces(stack * mask, real=a.is_real)
-
-
-def f_triu(a, strict=False):
-    stack = a.fourier_faces()
-    k = 1 if strict else 0
-    mask = np.triu(np.ones((a.l, a.p)), k=k)
     return Tensor3.from_fourier_faces(stack * mask, real=a.is_real)

@@ -157,10 +157,6 @@ def unit_tube(n):
     return Tube(v)
 
 
-def zero_tube(n):
-    return Tube(np.zeros(n, dtype=np.complex128))
-
-
 def tube_fft(t):
     """Unnormalized forward DFT of a spatial tube."""
     if t.domain != SPATIAL:
@@ -242,22 +238,26 @@ def tube_conj_t(t):
     return Tube(out)
 
 
-def conjugate_even(values, tol=1e-10):
+def conjugate_even(values, tol=1e-10, columns=False):
     """Whether Fourier values indexed along axis 0 (a tube, or a stack of
     Fourier faces) have the symmetry of a real signal's DFT.
 
     Entry 0 must be real and entry j the conjugate of entry n - j, within
     ``tol`` scaled by the largest entry magnitude (at least 1). Non-finite
-    entries (NaN, inf) fail the test.
+    entries (NaN, inf) fail the test. ``columns=True`` tests each column of
+    an (n, k) array on its own, scaled by that column's largest entry, and
+    returns one flag per column.
     """
     v = np.asarray(values)
-    if not np.isfinite(v).all():
-        return False
-    bound = tol * max(1.0, float(np.abs(v).max()))
-    return bool(
-        (np.abs(v[0].imag) <= bound).all()
-        and (np.abs(v[1:].conj() - v[:0:-1]) <= bound).all()
-    )
+    axis = 0 if columns else None
+    bound = tol * np.maximum(1.0, np.abs(v).max(axis=axis))
+    with np.errstate(invalid="ignore"):  # inf - inf; non-finite fails anyway
+        even = (
+            np.isfinite(v).all(axis=axis)
+            & (np.abs(v[:1].imag) <= bound).all(axis=axis)
+            & (np.abs(v[1:].conj() - v[:0:-1]) <= bound).all(axis=axis)
+        )
+    return even if columns else bool(even)
 
 
 def is_conjugate_even(t, tol=1e-10):

@@ -94,6 +94,16 @@ def test_capped_deflation_scores_every_stage():
     assert rep.error is not None and rep.res_norm is not None
 
 
+def test_capped_dle_left_iteration_scores_right_pair():
+    # the right iteration of the first stage converges within the cap, the
+    # left one does not: the row is scored on the converged right pair
+    cfg = default_config("dle", iter_max=540)
+    rep = run_method(make_tensor("tridiag"), "tridiag", "dle", cfg, num=3)
+    assert not rep.converged and rep.stop_reasons == ["cap"]
+    assert len(rep.eigentubes) == 1
+    assert rep.error <= 1e-10 and rep.res_norm <= 1e-10
+
+
 def test_stall_stop_is_reported():
     # the stochastic power row stops at its noise floor, not at tol
     rep = run_method(make_tensor("stochastic"), "stochastic", "t-pm")

@@ -40,7 +40,7 @@ from tubal import (
     zeros,
 )
 from tubal.experiments import STOCHASTIC_FACES, TestTensorSpec, make_tensor
-from tubal.factorizations import _face_eigvals, _sort_face_eigs
+from tubal.factorizations import _maybe_real_tubes, _sort_face_eigs
 from tubal.tubes import FOURIER, is_conjugate_even
 
 
@@ -142,6 +142,42 @@ def _assert_same(got, want):
     assert np.array_equal(got, want)
 
 
+def _face_eigvals_reference(m):
+    """Eigenvalues of one face: eigvalsh when it is Hermitian within 1e-13
+    of its norm (at least 1), eigvals otherwise."""
+    scale = float(np.linalg.norm(m))
+    if np.allclose(m, m.conj().T, rtol=0.0, atol=1e-13 * max(1.0, scale)):
+        return np.linalg.eigvalsh(m).astype(np.complex128)
+    return np.linalg.eigvals(m)
+
+
+def _sort_face_eigs_reference(vals):
+    """The tie order of one face spelled out with Python's stable sort:
+    blocks of magnitudes each within the window of the one before, by
+    descending real part, then sub-blocks of real parts likewise, by
+    descending imaginary part."""
+    vals = np.asarray(vals, dtype=np.complex128)
+    win = 1e-12 * max(1.0, float(np.abs(vals).max()))
+
+    def blocks(items, key):
+        items = sorted(items, key=lambda z: -key(z))
+        out, cur = [], [items[0]]
+        for z in items[1:]:
+            if key(cur[-1]) - key(z) <= win:
+                cur.append(z)
+            else:
+                out.append(cur)
+                cur = [z]
+        out.append(cur)
+        return out
+
+    result = []
+    for mag_block in blocks(list(vals), abs):
+        for re_block in blocks(mag_block, lambda z: z.real):
+            result.extend(sorted(re_block, key=lambda z: -z.imag))
+    return np.array(result)
+
+
 def _lu_face(m):
     pm, lf, uf = sla.lu(m)
     return pm.T, lf, uf, np.argmax(pm.T, axis=1)
@@ -170,8 +206,8 @@ def _square_reference(a):
     (dets,) = _per_face(a, lambda m: (np.linalg.det(m),))
     (invs,) = _per_face(a, lambda m: (np.linalg.inv(m),))
     spec = spectrum_of(a)
-    (raw,) = _per_face(a, lambda m: (_face_eigvals(m),))
-    face_values = np.stack([_sort_face_eigs(v) for v in raw])
+    (raw,) = _per_face(a, lambda m: (_face_eigvals_reference(m),))
+    face_values = np.stack([_sort_face_eigs_reference(v) for v in raw])
     return [
         ("lu.p", lu.p, spatial(ps)),
         ("lu.l", lu.l, spatial(ls)),
@@ -192,11 +228,17 @@ def _square_reference(a):
 @pytest.mark.parametrize("real", [True, False])
 def test_square_factorizations_match_per_face_loop_bitwise(rng, n, real):
     a = random_tensor(rng, 4, 4, n, real=real)
-    for name, got, want in _square_reference(a):
-        try:
-            _assert_same(got, want)
-        except AssertionError:
-            pytest.fail(f"{name} differs from the per-face loop")
+    # Fourier face 0 (the sum of the frontal faces) made Hermitian: the
+    # spectrum takes both eigensolver branches
+    total = a.data.sum(axis=2)
+    mixed = a.data.copy()
+    mixed[:, :, 0] -= (total - total.conj().T) / 2
+    for b in (a, Tensor3(mixed), f_hermitian_tensor(rng, 4, n, real=real), identity(4, n)):
+        for name, got, want in _square_reference(b):
+            try:
+                _assert_same(got, want)
+            except AssertionError:
+                pytest.fail(f"{name} differs from the per-face loop")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
@@ -445,6 +487,72 @@ def test_spectrum_ordering_tie_break():
     assert got[1] == 1.0 + 1.0j and got[2] == 1.0 - 1.0j
 
 
+def _tied_rows(rng, faces, p):
+    """(faces, p) eigenvalue rows built to meet every branch of the tie
+    rule: conjugate pairs, magnitudes and imaginary parts one or two ulps
+    apart, equal real parts, exact duplicates, opposite real parts, ties
+    within the window and zeros."""
+    scale = rng.choice([1e-3, 1.0, 1e3], size=(faces, 1))
+    vals = scale * (rng.standard_normal((faces, p)) + 1j * rng.standard_normal((faces, p)))
+    for f in range(faces):
+        for i in range(1, p):
+            z = vals[f, rng.integers(i)]
+            vals[f, i] = [
+                np.conj(z),
+                complex(np.nextafter(z.real, np.inf), z.imag),
+                complex(z.real, np.nextafter(np.nextafter(z.imag, np.inf), np.inf)),
+                complex(z.real, scale[f, 0] * rng.standard_normal()),
+                0.0,
+                z,
+                -np.conj(z),
+                z * (1 + 3e-13),
+                vals[f, i],
+            ][rng.integers(9)]
+    return vals
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 6, 10])
+@pytest.mark.parametrize("faces", [1, 7])
+def test_sort_face_eigs_matches_scalar_sort(rng, faces, p):
+    for _ in range(40):
+        vals = _tied_rows(rng, faces, p)
+        got = _sort_face_eigs(vals)
+        want = np.stack([_sort_face_eigs_reference(row) for row in vals])
+        assert got.tobytes() == want.tobytes()
+
+
+def test_sort_face_eigs_window_is_inclusive():
+    # a magnitude drop of exactly the window still ties, so the larger real
+    # part goes first; a drop just over it does not
+    win = 1e-12
+    assert _sort_face_eigs([-win, 0.0]).tolist() == [0.0, -win]
+    wider = np.nextafter(win, 1.0)
+    assert _sort_face_eigs([-wider, 0.0]).tolist() == [-wider, 0.0]
+
+
+def test_maybe_real_tubes_matches_per_column_loop(rng):
+    n = 6
+    even = np.fft.fft(rng.standard_normal((n, 3)), axis=0)
+    odd = np.fft.fft(rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)), axis=0)
+    bump = np.zeros(n, dtype=complex)
+    bump[2] = 1.0
+    cols = np.column_stack(
+        [
+            even,
+            odd,
+            even[:, 0] + 1e-15j * bump,  # nearly conjugate-even: snapped
+            even[:, 0] + 1e-11j * bump,  # off by more than 1e-13: kept complex
+            1e6 * even[:, 1] + 1e-8j * bump,  # within 1e-13 of its own scale
+            even[:, 2] + 1e-8j * bump,  # not within 1e-13 of its own scale
+            np.where(bump == 1.0, np.nan, even[:, 0]),
+        ]
+    )
+    got = _maybe_real_tubes(cols)
+    want = [_tube_from_fourier(col) for col in cols.T]
+    assert [t.values.tobytes() for t in got] == [t.values.tobytes() for t in want]
+    assert [t.is_real for t in got] == [True] * 3 + [False] * 2 + [True, False, True, False, False]
+
+
 def test_bcirc_spectral_oracle(rng):
     for _ in range(5):
         p = int(rng.integers(2, 5))
@@ -470,6 +578,15 @@ def test_multiplicity_metadata():
     assert spec.algebraic_f_multiplicity(0) == 2
     assert spec.geometric_f_multiplicity(0) == 1
     assert spec.index_of(0) == 2
+
+
+def test_multiplicity_takes_minimum_over_faces():
+    # eigentubes (2, 0) and (1, 1) have Fourier entries (2, 2) and (2, 0):
+    # they coincide on face 0 only
+    spec = spectrum_of(f_diagonal([Tube([2.0, 0.0]), Tube([1.0, 1.0])]))
+    assert spec.algebraic_f_multiplicity(0) == 1
+    assert spec.geometric_f_multiplicity(0) == 1
+    assert spec.index_of(0) == 1
 
 
 def test_facewise_sort_tubes_realigns(rng):
@@ -618,6 +735,14 @@ def test_in_range(rng):
     # a generic slice is not in the range of a rank deficient map
     z = random_tensor(rng, 4, 1, 3)
     assert not in_range(a, z)
+
+
+def test_in_range_rank_deficient_square(rng):
+    # every face has rank 2 of 3: the range is a plane, not all of C^3
+    b = random_tensor(rng, 3, 2, 4)
+    a = Tensor3(np.concatenate([b.data, b.data.sum(axis=1, keepdims=True)], axis=1))
+    assert in_range(a, t_product(a, random_tensor(rng, 3, 1, 4)))
+    assert not in_range(a, random_tensor(rng, 3, 1, 4))
 
 
 def test_inverse(rng):

@@ -497,6 +497,37 @@ def test_capped_sweep_lists_every_stage(variant):
     assert not pairs[-1].converged
 
 
+def test_capped_left_iteration_keeps_right_pair(monkeypatch):
+    a = make_tensor("realeig")
+    steps = []
+    power = solvers.t_power
+
+    def counted(*args, **kwargs):
+        pair = power(*args, **kwargs)
+        steps.append(pair.iterations)
+        return pair
+
+    monkeypatch.setattr(solvers, "t_power", counted)
+    full = deflated_power_sweep(a, 3, cfg=SolverConfig(deflation_variant="DLE"))
+    right1, left1, right2, left2 = steps[:4]
+    # cap only the left iteration of the second stage
+    cap = left2 - 1
+    assert max(right1, left1, right2) <= cap
+    with pytest.raises(NoConvergence) as info:
+        deflated_power_sweep(a, 3, cfg=SolverConfig(deflation_variant="DLE", iter_max=cap))
+    pairs = info.value.result
+    assert len(pairs) == 2
+    assert info.value.iterations == right1 + right2 + cap
+    for got, want in zip(pairs, full):
+        # stage m is mapped back with stages 0 .. m - 1 only
+        assert got.eigentube == want.eigentube
+        assert np.array_equal(got.eigenslice.data, want.eigenslice.data)
+        assert got.residual_norm == want.residual_norm
+    assert pairs[0].converged and pairs[0].stop_reason == full[0].stop_reason
+    assert not pairs[1].converged and pairs[1].stop_reason == "cap"
+    assert pairs[1].iterations == right2
+
+
 def test_sweep_rejects_bad_count():
     with pytest.raises(ValueError):
         deflated_power_sweep(tridiag_tensor(), 11)
