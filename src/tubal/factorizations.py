@@ -19,7 +19,7 @@ from .errors import (
     NotAnEigentube,
     SingularFace,
 )
-from .tensors import Tensor3, f_diagonal, identity, slice_normalize, tensor_tube_mul
+from .tensors import Tensor3, identity, slice_normalize, tensor_tube_mul
 from .tubes import Tube, conjugate_even
 
 #: Relative window within which face eigenvalue magnitudes count as tied.
@@ -58,6 +58,14 @@ def _stitch(stack, a):
 def _first_bad_face(bad):
     """Index of the first True entry of a per-face flag vector, or None."""
     return int(np.argmax(bad)) if bad.any() else None
+
+
+def _first_small_pivot(stack, pivots):
+    """First face of a square (faces, p, p) stack whose smallest LU pivot
+    magnitude ``pivots[f]`` is not above ``LU_PIVOT_RTOL`` times the face
+    norm (at least 1), or None. A NaN pivot counts as small."""
+    gates = LU_PIVOT_RTOL * np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
+    return _first_bad_face(~(pivots > gates))
 
 
 def _phase_fix(vs):
@@ -152,9 +160,8 @@ def t_lu(a):
         raise DimensionMismatch("rows", a.l, a.p)
     stack = _leading_faces(a)
     pm, ls, us = sla.lu(stack)
-    gates = LU_PIVOT_RTOL * np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
     pivots = np.abs(np.diagonal(us, axis1=1, axis2=2)).min(axis=1)
-    f = _first_bad_face(pivots <= gates)
+    f = _first_small_pivot(stack, pivots)
     if f is not None:
         raise SingularFace(f, f"pivot {pivots[f]:.3e}")
     # scipy returns A = pm @ L @ U, so the permutation applied to A is pm^T
@@ -308,12 +315,6 @@ class EigentubeSpectrum:
     @property
     def p(self):
         return self.face_values.shape[1]
-
-    def spectral_radius(self):
-        return max(t.norm() for t in self.eigentubes)
-
-    def to_f_diagonal(self):
-        return f_diagonal(self.eigentubes)
 
     def _shifted_faces(self, j):
         lam = self.face_values[:, j]

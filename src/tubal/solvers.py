@@ -25,14 +25,12 @@ from .errors import (
     SingularShift,
     ZeroSlice,
 )
-from .factorizations import LU_PIVOT_RTOL, _first_bad_face, facewise_qr, t_hess, t_qr
+from .factorizations import _first_small_pivot, facewise_qr, t_hess
 from .tensors import (
     Tensor3,
     concat_lateral,
     conj_transpose,
-    f_tril,
     fourier_norm,
-    identity,
     slice_inner,
     slice_normalize,
     t_product,
@@ -197,8 +195,7 @@ def _shifted_solver(stack):
     getrf, getrs = sla.get_lapack_funcs(("getrf", "getrs"), (stack,))
     factors = [getrf(face)[:2] for face in stack]
     pivmags = np.array([np.abs(np.diagonal(lu)).min() for lu, _ in factors])
-    gates = LU_PIVOT_RTOL * np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
-    f = _first_bad_face(~(pivmags > gates))
+    f = _first_small_pivot(stack, pivmags)
     if f is not None:
         raise SingularShift(f"face {f}: shifted tensor pivot {pivmags[f]:.3e}")
     return lambda vh: np.stack([getrs(lu, piv, b)[0] for (lu, piv), b in zip(factors, vh)])
@@ -479,7 +476,7 @@ def deflated_power_sweep(a, num, cfg=None):
         z, _ = slice_normalize(pair.eigenslice)
         if variant == "DS":
             q = _orthonormalize_against(z, qs) if qs else z
-            a_cur = a_cur - tensor_tube_mul(t_product(q, conj_transpose(q)), lam)
+            a_cur = deflate(a_cur, lam, q, q)
             qs.append(q)
         else:
             if variant == "DE":
@@ -493,7 +490,7 @@ def deflated_power_sweep(a, num, cfg=None):
                     raise BadPairing(
                         "left and right eigenslices are numerically orthogonal"
                     ) from exc
-            a_cur = a_cur - tensor_tube_mul(t_product(z, conj_transpose(v)), lam)
+            a_cur = deflate(a_cur, lam, z, v)
             zs.append(z)
             vs.append(v)
         lambdas.append(lam)
@@ -587,47 +584,45 @@ def t_qr_unshifted(a, cfg=None, keep_history=False):
 
     Slow but transparent; every iterate is f-unitarily similar to the
     input, and the accumulated factors give a t-QR factorization of A^k.
-    Stops when the strictly f-lower-triangular mass falls below
-    ``cfg.tol * ||A||_F``.
+    The iterate and the accumulated factors stay Fourier face stacks (the
+    leading n // 2 + 1 faces for real input): a step is one
+    :func:`facewise_qr` call and three batched products, and the spatial
+    :class:`QrIterate` history is built only with ``keep_history``. Stops
+    when the strictly f-lower-triangular mass, by Parseval, falls below
+    ``cfg.tol * max(1, ||A||_F)``.
     """
     _check_square(a)
     cfg = cfg or SolverConfig()
-    a_k = a
-    q_acc = identity(a.p, a.n)
-    r_acc = identity(a.p, a.n)
+    n, half = a.n, a.is_real
+    a_k = _fourier_stack(a, half)
+    q_acc = r_acc = np.broadcast_to(np.eye(a.p), a_k.shape)
     history = []
     err_trace = []
-    scale = a.frob_norm()
+    scale = max(1.0, a.frob_norm())
     err = np.inf
+
+    def spatial(stack):
+        return _spatial_from_stack(stack, n, half)
+
+    def result(reason):
+        res = SchurResult(spatial(q_acc), spatial(a_k), k, reason == "tol", reason, err_trace, [])
+        res.history = history
+        return res
+
     k = 0
     while k < cfg.iter_max:
         k += 1
-        qr = t_qr(a_k)
-        a_k = t_product(qr.r, qr.q)
-        q_acc = t_product(q_acc, qr.q)
-        r_acc = t_product(qr.r, r_acc)
+        q, r = facewise_qr(a_k, "complete")
+        a_k = r @ q
+        q_acc = q_acc @ q
+        r_acc = r @ r_acc
         if keep_history:
-            history.append(QrIterate(qr.q, qr.r, a_k, q_acc, r_acc))
-        err = f_tril(a_k, strict=True).frob_norm()
+            history.append(QrIterate(*map(spatial, (q, r, a_k, q_acc, r_acc))))
+        err = fourier_norm(np.tril(a_k, -1), n)
         err_trace.append(err)
-        if err <= cfg.tol * max(1.0, scale):
-            result = SchurResult(q_acc, a_k, k, True, "tol", err_trace, [])
-            result.history = history
-            return result
-    partial = SchurResult(q_acc, a_k, k, False, "cap", err_trace, [])
-    partial.history = history
-    raise NoConvergence(k, err, result=partial)
-
-
-def _givens(a, b):
-    """Rotation (c real, s) with -conj(s) * a + c * b == 0 and c^2+|s|^2=1."""
-    if b == 0:
-        return 1.0, 0.0 + 0.0j
-    if a == 0:
-        return 0.0, np.conj(b) / abs(b)
-    t = b / a
-    c = 1.0 / np.sqrt(1.0 + abs(t) ** 2)
-    return c, c * np.conj(t)
+        if err <= cfg.tol * scale:
+            return result("tol")
+    raise NoConvergence(k, err, result=result("cap"))
 
 
 # widest complex dtype available for the final compression of a polished
@@ -672,10 +667,7 @@ def _polish_schur_face(m, u, t, sweeps=4):
             break
         # QR keeps every leading column span of the corrected basis, so the
         # full Newton step takes effect (a polar factor would halve it)
-        q, rr = np.linalg.qr(u @ (np.eye(p) + x))
-        d = np.diag(rr)
-        phase = np.where(np.abs(d) > 0, d / np.abs(np.where(d == 0, 1, d)), 1.0)
-        u = q * phase
+        u = facewise_qr((u @ (np.eye(p) + x))[None], "complete")[0][0]
         mh = m.astype(_WIDE)
         uh = u.astype(_WIDE)
         t = np.triu((uh.conj().T @ mh @ uh).astype(np.complex128))
@@ -687,50 +679,22 @@ def _polish_schur_face(m, u, t, sweeps=4):
     return best_u, best_t
 
 
-def _shifted_qr_sweep(h, u, r, sigma):
-    """One explicit-shift QR step of the leading r x r block of a Hessenberg
-    face, in place.
-
-    Rows of the coupling block (columns beyond r) are carried through the
-    left rotations; the accumulated unitary face ``u`` picks up the right
-    rotations.
-    """
-    idx = np.arange(r)
-    h[idx, idx] -= sigma
-    rots = []
-    for i in range(r - 1):
-        c, s = _givens(h[i, i], h[i + 1, i])
-        rots.append((c, s))
-        top = c * h[i, i:] + s * h[i + 1, i:]
-        bot = -np.conj(s) * h[i, i:] + c * h[i + 1, i:]
-        h[i, i:] = top
-        h[i + 1, i:] = bot
-        h[i + 1, i] = 0.0
-    for i, (c, s) in enumerate(rots):
-        coli = c * h[:r, i] + np.conj(s) * h[:r, i + 1]
-        colj = -s * h[:r, i] + c * h[:r, i + 1]
-        h[:r, i] = coli
-        h[:r, i + 1] = colj
-        ucoli = c * u[:, i] + np.conj(s) * u[:, i + 1]
-        ucolj = -s * u[:, i] + c * u[:, i + 1]
-        u[:, i] = ucoli
-        u[:, i + 1] = ucolj
-    h[idx, idx] += sigma
-
-
 def t_qr_shifted(a, cfg=None):
     """Shifted QR iteration on the f-Hessenberg form.
 
-    The working tensor is first reduced to f-upper-Hessenberg form, then
-    iterated facewise in the Fourier domain. Each sweep shifts every face
-    by the trailing diagonal entry of the active leading block (multiplied
-    by 1 + i in complex-shift mode), takes one Givens QR step of that
-    block, and deflates its trailing row once the subdiagonal tube at the
-    active corner drops below ``1e-14 * ||A||_F``. Restricting the step to
-    the active block keeps converged subdiagonals from regrowing. If the
-    active corner makes no progress for ``STAGNATION_LIMIT`` sweeps the
-    shift switches to the complex variant once, then the run is abandoned
-    with stop reason ``"stall"`` and ``converged`` False.
+    The tensor is reduced to f-upper-Hessenberg form by :func:`t_hess`,
+    and its Fourier face stack is iterated. Each sweep shifts every face by
+    the trailing diagonal entry sigma of the active leading block
+    (multiplied by 1 + i in complex-shift mode), factors the shifted blocks
+    of all faces with one :func:`facewise_qr` call, and sets the block to
+    R Q + sigma I, carrying Q^H into the coupling rows to its right and Q
+    into the accumulated unitary stack. The trailing row deflates once the
+    subdiagonal tube at the active corner drops below
+    ``1e-14 * ||A||_F``; restricting the step to the active block keeps
+    converged subdiagonals from regrowing. If the active corner makes no
+    progress for ``STAGNATION_LIMIT`` sweeps the shift switches to the
+    complex variant once, then the run is abandoned with stop reason
+    ``"stall"`` and ``converged`` False.
     On success the computed pair is polished facewise against the original
     tensor (see :func:`_polish_schur_face`).
     """
@@ -750,7 +714,6 @@ def t_qr_shifted(a, cfg=None):
     sqrt_n = np.sqrt(n)
 
     def finish(reason, iterations):
-        nonlocal hs, us
         if reason == "tol":
             for f in range(n):
                 us[f], hs[f] = _polish_schur_face(a_faces[f], us[f], hs[f])
@@ -769,11 +732,12 @@ def t_qr_shifted(a, cfg=None):
         return finish("tol", 0)
     while k < cfg.iter_max:
         k += 1
-        for f in range(n):
-            sigma = hs[f][r - 1, r - 1]
-            if complex_mode:
-                sigma = sigma * (1.0 + 1.0j)
-            _shifted_qr_sweep(hs[f], us[f], r, sigma)
+        sigma = hs[:, r - 1, r - 1] * (1.0 + 1.0j if complex_mode else 1.0)
+        shift = sigma[:, None, None] * np.eye(r)
+        q, rr = facewise_qr(hs[:, :r, :r] - shift, "complete")
+        hs[:, :r, :r] = rr @ q + shift
+        hs[:, :r, r:] = np.conj(np.swapaxes(q, 1, 2)) @ hs[:, :r, r:]
+        us[:, :, :r] = us[:, :, :r] @ q
         sub = float(np.linalg.norm(hs[:, r - 1, r - 2])) / sqrt_n
         err_trace.append(sub)
         if sub <= eps:

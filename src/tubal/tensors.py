@@ -84,9 +84,6 @@ class Tensor3:
         """The j-th tensor column as an l x 1 x n tensor."""
         return Tensor3(self._data[:, j : j + 1, :], real=self._real)
 
-    def laterals(self):
-        return [self.lateral(j) for j in range(self.p)]
-
     def fourier_faces(self):
         """Fourier faces stacked as an (n, l, p) array."""
         return np.moveaxis(np.fft.fft(self._data, axis=2), 2, 0)

@@ -57,9 +57,6 @@ class Tube:
     def n(self):
         return self._values.size
 
-    def __len__(self):
-        return self._values.size
-
     @property
     def is_real(self):
         """True when the spatial entries carry no imaginary part."""
@@ -80,12 +77,6 @@ class Tube:
             f.setflags(write=False)
             self._fourier = f
         return self._fourier
-
-    def to_fourier(self):
-        return tube_fft(self)
-
-    def to_spatial(self):
-        return tube_ifft(self) if self._domain == FOURIER else self
 
     def norm(self):
         return tube_norm(self)

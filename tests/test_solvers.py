@@ -22,6 +22,7 @@ from tubal import (
     deflated_power_sweep,
     eigenslice_for,
     f_diagonal,
+    f_tril,
     fourier_norm,
     identity,
     slice_inner,
@@ -39,7 +40,7 @@ from tubal import (
     unit_tube,
     zeros,
 )
-from tubal import solvers
+from tubal import factorizations, solvers
 from tubal.experiments import make_tensor
 
 
@@ -363,7 +364,7 @@ def test_singular_shift_names_first_bad_face(rng, n, real):
     sigma = Tube(vals.real if real else vals)
     faces = a.fourier_faces() - sigma.fourier_values[:, None, None] * np.eye(3)
     pivots = np.array([np.abs(np.diag(sla.lu_factor(m)[0])).min() for m in faces])
-    gates = solvers.LU_PIVOT_RTOL * np.maximum(1.0, np.linalg.norm(faces, axis=(1, 2)))
+    gates = factorizations.LU_PIVOT_RTOL * np.maximum(1.0, np.linalg.norm(faces, axis=(1, 2)))
     first = int(np.argmax(pivots <= gates))
     assert first == 1
     with pytest.raises(SingularShift, match=f"^face {first}:"):
@@ -706,13 +707,18 @@ def test_qr_shifted_real_input_real_output():
     assert res.u.is_real and res.r.is_real
 
 
-def test_qr_shifted_complex_shift_mode(rng):
-    # a real tensor whose first face has a complex conjugate eigenvalue pair
+def _rotation_tensor():
+    """A real tensor whose first face has a complex conjugate eigenvalue
+    pair, which a real shift cannot separate."""
     rot = np.array([[0.6, -0.8], [0.8, 0.6]])
     data = np.zeros((2, 2, 2))
     data[:, :, 0] = 2 * rot
     data[:, :, 1] = 0.3 * np.eye(2)
-    a = Tensor3(data)
+    return Tensor3(data)
+
+
+def test_qr_shifted_complex_shift_mode(rng):
+    a = _rotation_tensor()
     res = t_qr_shifted(a, cfg=SolverConfig(iter_max=5000, complex_shift=True))
     assert res.converged
     from tubal import facewise_sort_tubes
@@ -720,6 +726,50 @@ def test_qr_shifted_complex_shift_mode(rng):
     got = facewise_sort_tubes(res.diag_tubes())
     exact = spectrum_of(a).eigentubes
     assert spectral_distance(got, exact) <= 1e-10 * max(1.0, a.frob_norm())
+
+
+def test_qr_shifted_switches_to_complex_shift():
+    # started with the real shift, the run stalls on the conjugate pair and
+    # converges only after the automatic switch to the complex shift
+    a = _rotation_tensor()
+    res = t_qr_shifted(a, cfg=SolverConfig(iter_max=5000, complex_shift=False))
+    assert res.converged and res.stop_reason == "tol"
+    assert res.iterations > solvers.STAGNATION_LIMIT
+    from tubal import facewise_sort_tubes
+
+    got = facewise_sort_tubes(res.diag_tubes())
+    exact = spectrum_of(a).eigentubes
+    assert spectral_distance(got, exact) <= 1e-10 * max(1.0, a.frob_norm())
+
+
+@pytest.mark.parametrize("n", [1, 4, 5])
+def test_qr_shifted_random_complex(rng, n):
+    a = random_tensor(rng, 6, 6, n)
+    res = t_qr_shifted(a, cfg=SolverConfig(iter_max=30000))
+    assert res.converged
+    scale = a.frob_norm()
+    assert (t_product(a, res.u) - t_product(res.u, res.r)).frob_norm() <= 1e-12 * scale
+    assert f_tril(res.r, strict=True).frob_norm() == 0.0
+    from tubal import facewise_sort_tubes
+
+    got = facewise_sort_tubes(res.diag_tubes())
+    exact = spectrum_of(a).eigentubes
+    assert spectral_distance(got, exact) <= 1e-12 * scale
+
+
+def test_qr_shifted_stall_raises_with_partial_result():
+    # tridiag(-1, 2, -1) has a spectrum symmetric about its trailing
+    # diagonal entry 2, the first Rayleigh shift, and exact arithmetic keeps
+    # it there; neither shift mode breaks the tie
+    m = 2 * np.eye(4) - np.eye(4, k=1) - np.eye(4, k=-1)
+    a = Tensor3(m[:, :, None])
+    with pytest.raises(NoConvergence) as info:
+        t_qr_shifted(a, cfg=SolverConfig(iter_max=30000))
+    res = info.value.result
+    assert res.stop_reason == "stall" and not res.converged
+    assert res.iterations == 2 * solvers.STAGNATION_LIMIT
+    resid = (t_product(a, res.u) - t_product(res.u, res.r)).frob_norm()
+    assert resid <= 1e-12 * a.frob_norm()
 
 
 def test_config_validation():
