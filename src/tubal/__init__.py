@@ -10,7 +10,6 @@ from .errors import (
     DefectiveFace,
     DimensionMismatch,
     DivisionFailure,
-    DomainMismatch,
     MalformedFile,
     NearSingularTube,
     NoConvergence,
@@ -82,15 +81,10 @@ from .tensors import (
 )
 from .tensorio import read_tensor, write_tensor
 from .tubes import (
-    FOURIER,
-    SPATIAL,
     Tube,
     conjugate_even,
-    is_conjugate_even,
     tube_conj_t,
     tube_div,
-    tube_fft,
-    tube_ifft,
     tube_mul,
     tube_norm,
     tube_pow,

@@ -19,10 +19,6 @@ class DimensionMismatch(TubalError):
         self.right = right
 
 
-class DomainMismatch(TubalError):
-    """A tube was supplied in the wrong transform domain."""
-
-
 class NearSingularTube(TubalError):
     """A tube divisor has a Fourier entry below the singularity gate."""
 

@@ -195,8 +195,6 @@ class ExperimentReport:
     residual_trace: list = field(default_factory=list, repr=False)
     error_trace: list = field(default_factory=list, repr=False)
     eigenslices: object = field(default=None, repr=False)
-    schur_u: object = field(default=None, repr=False)
-    schur_r: object = field(default=None, repr=False)
 
 
 def _tube_to_lists(t):
@@ -281,7 +279,6 @@ def run_method(a, tensor_name, method, cfg=None, num=4, shift=None):
         tubes = result.diag_tubes()
         rep.res_norm = schur_residual(a, result.u, result.r)
         rep.error_trace = list(result.error_trace)
-        rep.schur_u, rep.schur_r = result.u, result.r
     else:
         tubes = [p.eigentube for p in pairs]
         slices = [p.eigenslice for p in pairs]
@@ -323,17 +320,15 @@ class TableRow:
 class TableSpec:
     """A benchmark table: its alias, its rows in order, and its CSV layout.
 
-    Each report is one CSV line of ``columns``, with the ``blank`` ones left
-    empty; with ``wide``, the reports that share the ``wide`` columns make
-    one line instead, which repeats ``columns`` for each of them under
-    headers prefixed by its method.
+    Each report is one CSV line of ``columns``; with ``wide``, the reports
+    that share the ``wide`` columns make one line instead, which repeats
+    ``columns`` for each of them under headers prefixed by its method.
     """
 
     alias: str
     rows: tuple
     columns: tuple
     wide: tuple = ()
-    blank: tuple = ()
 
 
 _POWER_COLUMNS = ("tensor", "method", "res_norm", "error", "iter", "cpu_time")
@@ -344,13 +339,10 @@ TABLE_SPECS = {
         tuple(TableRow(k, "t-pm") for k in ("tridiag", "stochastic", "complex")),
         _POWER_COLUMNS,
     ),
-    # this table's layout has no timing column worth filling in; the
-    # measured value still lands in the manifest
     "t3": TableSpec(
         "inverse",
         (TableRow("tridiag", "t-sipm", shift=1e-5), TableRow("complex", "t-sipm", shift=1e-3)),
         _POWER_COLUMNS,
-        blank=("cpu_time",),
     ),
     "t5": TableSpec(
         "deflation",
@@ -442,7 +434,7 @@ def _csv_layout(spec, reports):
     """Header and lines of a table's CSV, as :class:`TableSpec` lays out."""
 
     def cells(rep, columns):
-        return ["" if c in spec.blank else _CELLS[c](rep) for c in columns]
+        return [_CELLS[c](rep) for c in columns]
 
     if not spec.wide:
         return list(spec.columns), [cells(r, spec.columns) for r in reports]
@@ -489,5 +481,4 @@ def _write_trace(out_dir, table, rep):
 
 def _report_doc(rep):
     """The JSON fields of a report: all but its tensors."""
-    tensors = ("eigenslices", "schur_u", "schur_r")
-    return {k: v for k, v in vars(rep).items() if k not in tensors}
+    return {k: v for k, v in vars(rep).items() if k != "eigenslices"}

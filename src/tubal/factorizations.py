@@ -19,7 +19,7 @@ from .errors import (
     NotAnEigentube,
     SingularFace,
 )
-from .tensors import Tensor3, identity, slice_normalize, tensor_tube_mul
+from .tensors import Tensor3, _check_square, identity, slice_normalize, tensor_tube_mul
 from .tubes import Tube, conjugate_even
 
 #: Relative window within which face eigenvalue magnitudes count as tied.
@@ -156,8 +156,7 @@ def t_lu(a):
     Raises :class:`SingularFace` when a face pivot falls below
     ``LU_PIVOT_RTOL`` times the face norm.
     """
-    if a.l != a.p:
-        raise DimensionMismatch("rows", a.l, a.p)
+    _check_square(a)
     stack = _leading_faces(a)
     pm, ls, us = sla.lu(stack)
     pivots = np.abs(np.diagonal(us, axis1=1, axis2=2)).min(axis=1)
@@ -185,8 +184,7 @@ class THessResult:
 def t_hess(a):
     """Reduce every Fourier face to upper Hessenberg form by a unitary
     similarity."""
-    if a.l != a.p:
-        raise DimensionMismatch("rows", a.l, a.p)
+    _check_square(a)
     # one call per face: a batched hessenberg is slower than this loop
     hs, ws = zip(*(sla.hessenberg(m, calc_q=True) for m in _leading_faces(a)))
     return THessResult(_stitch(np.array(ws), a), _stitch(np.array(hs), a))
@@ -229,14 +227,14 @@ def t_svd(a):
 
 def t_det(a):
     """Determinant tube: Fourier entry i is det of Fourier face i."""
-    if a.l != a.p:
-        raise DimensionMismatch("rows", a.l, a.p)
+    _check_square(a)
     dets = _mirror(np.linalg.det(_leading_faces(a)), a.n)
     return _maybe_real_tubes(dets[:, None])[0]
 
 
 def char_poly_eval(a, x):
     """Evaluate tdet(A - I * x) at the tube x."""
+    _check_square(a)
     return t_det(a - tensor_tube_mul(identity(a.p, a.n), x))
 
 
@@ -361,8 +359,7 @@ def spectrum_of(a):
     ties within ``TIE_RTOL`` by descending real, then imaginary part (see
     :func:`_sort_face_eigs`). Eigentube j is the inverse transform of column j.
     """
-    if a.l != a.p:
-        raise DimensionMismatch("rows", a.l, a.p)
+    _check_square(a)
     faces = a.fourier_faces()
     raw = _mirror(_face_eigvals(_leading_faces(a, faces)), a.n)
     face_values = _sort_face_eigs(raw)
@@ -393,8 +390,7 @@ def eigenslice_for(a, lam, gate=1e-8, defect_tol=1e-8):
     raised. The result is normalized so its bilinear self-product is the
     unit tube.
     """
-    if a.l != a.p:
-        raise DimensionMismatch("rows", a.l, a.p)
+    _check_square(a)
     stack = a.fourier_faces()
     lam_hat = lam.fourier_values
     evals = np.linalg.eigvals(stack)
@@ -427,8 +423,7 @@ def real_t_schur(a):
     """
     if not a.is_real:
         raise ValueError("real_t_schur requires a real tensor")
-    if a.l != a.p:
-        raise DimensionMismatch("rows", a.l, a.p)
+    _check_square(a)
 
     def schur_face(f, m):
         if 2 * f % a.n == 0:  # faces 0 and n/2 are their own conjugates: real
@@ -484,8 +479,7 @@ def in_range(a, y, rtol=NULL_RTOL):
 def t_inverse(a, rtol=1e-13):
     """Tensor inverse via facewise inversion; every Fourier face must be
     nonsingular."""
-    if a.l != a.p:
-        raise DimensionMismatch("rows", a.l, a.p)
+    _check_square(a)
     stack = _leading_faces(a)
     s = np.linalg.svd(stack, compute_uv=False)
     f = _first_bad_face(s[:, -1] <= rtol * np.maximum(1.0, s[:, 0]))

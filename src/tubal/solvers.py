@@ -25,9 +25,10 @@ from .errors import (
     SingularShift,
     ZeroSlice,
 )
-from .factorizations import _first_small_pivot, facewise_qr, t_hess
+from .factorizations import _first_small_pivot, eigenslice_for, facewise_qr, t_hess
 from .tensors import (
     Tensor3,
+    _check_square,
     concat_lateral,
     conj_transpose,
     fourier_norm,
@@ -156,11 +157,6 @@ def t_max(x):
     if norms.max() == 0.0:
         raise ZeroSlice("every tube of the slice is zero")
     return Tube(x.data[int(np.argmax(norms)), 0, :])
-
-
-def _check_square(a):
-    if a.l != a.p:
-        raise DimensionMismatch("rows", a.l, a.p)
 
 
 # ---------------------------------------------------------------------------
@@ -360,31 +356,6 @@ def _orthonormalize_against(z, basis):
     return x
 
 
-def _triangular_eigen_slice(qtens, r, j):
-    """Eigenslice from a Schur basis: solve the facewise triangular system
-    (R - lambda_j I) c = 0 with c_j = 1 and combine the basis slices."""
-    k, n = r.p, r.n
-    rstack = r.fourier_faces()
-    qstack = qtens.fourier_faces()
-    cols = np.empty((qtens.l, n), dtype=np.complex128)
-    for f in range(n):
-        t = rstack[f]
-        lam = t[j, j]
-        c = np.zeros(k, dtype=np.complex128)
-        c[j] = 1.0
-        for i in range(j - 1, -1, -1):
-            denom = t[i, i] - lam
-            if abs(denom) <= 1e-12 * max(1.0, abs(t[i, i])):
-                raise ShiftCollision(
-                    f"face {f}: repeated diagonal entry blocks eigenslice recovery"
-                )
-            c[i] = -(t[i, i + 1 : j + 1] @ c[i + 1 : j + 1]) / denom
-        cols[:, f] = qstack[f] @ c
-    data = np.fft.ifft(cols, axis=1)
-    x, _ = slice_normalize(Tensor3(data[:, None, :]))
-    return x
-
-
 def deflated_power_sweep(a, num, cfg=None):
     """Leading ``num`` eigenpairs by repeated power iteration plus
     deflation.
@@ -396,8 +367,10 @@ def deflated_power_sweep(a, num, cfg=None):
     (DLE), or the Schur slice obtained by orthonormalizing against the
     previous ones (DS). Reported eigenslices are mapped back to eigenslices
     of the original tensor: DE and DLE results are corrected stage by stage
-    through the deflation relation, DS results come from the triangular
-    compression over the accumulated Schur basis. A stage that hits the
+    through the deflation relation; DS takes its eigentubes from the
+    diagonal of the compression R = Q^H * A * Q over the accumulated Schur
+    basis Q and each eigenslice from :func:`eigenslice_for` on the original
+    tensor, which raises as described there. A stage that hits the
     iteration cap raises :class:`NoConvergence` whose result lists the
     completed stages, mapped back as on success, then the partial pair of
     the capped power iteration; when the left iteration of a DLE stage hits
@@ -425,7 +398,7 @@ def deflated_power_sweep(a, num, cfg=None):
             qtens = concat_lateral(qs)
             r = t_product(t_product(conj_transpose(qtens), a), qtens)
             tubes = [Tube(r.data[j, j, :]) for j in range(count)]
-            slices = [_triangular_eigen_slice(qtens, r, j) for j in range(count)]
+            slices = [eigenslice_for(a, lam) for lam in tubes]
         else:
             tubes = lambdas
             slices = []

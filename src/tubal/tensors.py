@@ -77,9 +77,6 @@ class Tensor3:
         """The k-th frontal slice as an l x p matrix."""
         return np.array(self._data[:, :, k])
 
-    def tube(self, i, j):
-        return Tube(self._data[i, j, :])
-
     def lateral(self, j):
         """The j-th tensor column as an l x 1 x n tensor."""
         return Tensor3(self._data[:, j : j + 1, :], real=self._real)
@@ -99,10 +96,6 @@ class Tensor3:
 
     def frob_norm(self):
         return float(np.linalg.norm(self._data))
-
-    @property
-    def H(self):
-        return conj_transpose(self)
 
     def allclose(self, other, rtol=1e-10, atol=1e-12):
         return self.shape == other.shape and bool(
@@ -153,8 +146,7 @@ class Tensor3:
     def __pow__(self, k):
         if not isinstance(k, (int, np.integer)) or k < 0:
             raise TypeError("tensor powers must be nonnegative integers")
-        if self.l != self.p:
-            raise DimensionMismatch("rows", self.l, self.p)
+        _check_square(self)
         if k == 0:
             return identity(self.p, self.n)
         stack = self.fourier_faces()
@@ -164,6 +156,13 @@ class Tensor3:
     def __repr__(self):
         tag = "real" if self._real else "complex"
         return f"Tensor3(shape={self.shape}, {tag})"
+
+
+def _check_square(a):
+    """Raise :class:`DimensionMismatch` (axis ``"rows"``) unless ``a`` has
+    as many rows as columns."""
+    if a.l != a.p:
+        raise DimensionMismatch("rows", a.l, a.p)
 
 
 # ---------------------------------------------------------------------------

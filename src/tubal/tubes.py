@@ -12,46 +12,37 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainMismatch, NearSingularTube
-
-SPATIAL = "spatial"
-FOURIER = "fourier"
+from .errors import DimensionMismatch, NearSingularTube
 
 #: Relative floor below which a Fourier entry of a divisor is treated as zero.
 SINGULARITY_EPS = 1e-13
 
 
 class Tube:
-    """Immutable length-n fiber tagged with its transform domain.
+    """Immutable length-n fiber of spatial entries.
 
-    The spatial representation is canonical: equality always compares
-    spatial entries, whichever domain a tube was built in. Arithmetic is
-    defined between spatial tubes of equal length; the Fourier image is
-    computed on demand and cached.
+    Arithmetic is defined between tubes of equal length; the Fourier
+    entries are computed on demand and cached.
     """
 
-    __slots__ = ("_values", "_domain", "_fourier")
+    __slots__ = ("_values", "_fourier")
 
-    def __init__(self, values, domain=SPATIAL):
+    def __init__(self, values):
         arr = np.array(values, dtype=np.complex128)
         if arr.ndim != 1:
             raise ValueError(f"tube values must be 1-d, got shape {arr.shape}")
         if arr.size < 1:
             raise ValueError("a tube needs at least one entry")
-        if domain not in (SPATIAL, FOURIER):
-            raise ValueError(f"unknown tube domain {domain!r}")
         arr.setflags(write=False)
         self._values = arr
-        self._domain = domain
         self._fourier = None
 
     @property
     def values(self):
+        """The spatial entries."""
         return self._values
 
-    @property
-    def domain(self):
-        return self._domain
+    spatial_values = values
 
     @property
     def n(self):
@@ -60,18 +51,10 @@ class Tube:
     @property
     def is_real(self):
         """True when the spatial entries carry no imaginary part."""
-        return not np.any(self.spatial_values.imag)
-
-    @property
-    def spatial_values(self):
-        if self._domain == SPATIAL:
-            return self._values
-        return np.fft.ifft(self._values)
+        return not np.any(self._values.imag)
 
     @property
     def fourier_values(self):
-        if self._domain == FOURIER:
-            return self._values
         if self._fourier is None:
             f = np.fft.fft(self._values)
             f.setflags(write=False)
@@ -81,16 +64,7 @@ class Tube:
     def norm(self):
         return tube_norm(self)
 
-    @property
-    def H(self):
-        return tube_conj_t(self)
-
-    # The ring operators act on spatial tubes only; a tube living in the
-    # Fourier domain must be transformed back explicitly first.
-
     def _compat(self, other):
-        if self._domain != SPATIAL or other._domain != SPATIAL:
-            raise DomainMismatch("tube arithmetic is defined on spatial tubes")
         if self.n != other.n:
             raise DimensionMismatch("tubes", self.n, other.n)
 
@@ -107,13 +81,13 @@ class Tube:
         return Tube(self._values - other._values)
 
     def __neg__(self):
-        return Tube(-self._values, self._domain)
+        return Tube(-self._values)
 
     def __mul__(self, other):
         if isinstance(other, Tube):
             return tube_mul(self, other)
         if isinstance(other, (int, float, complex, np.number)):
-            return Tube(self._values * other, self._domain)
+            return Tube(self._values * other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -122,7 +96,7 @@ class Tube:
         if isinstance(other, Tube):
             return tube_div(self, other)
         if isinstance(other, (int, float, complex, np.number)):
-            return Tube(self._values / other, self._domain)
+            return Tube(self._values / other)
         return NotImplemented
 
     def __pow__(self, k):
@@ -131,14 +105,12 @@ class Tube:
     def __eq__(self, other):
         if not isinstance(other, Tube):
             return NotImplemented
-        return self.n == other.n and bool(
-            np.array_equal(self.spatial_values, other.spatial_values)
-        )
+        return bool(np.array_equal(self._values, other._values))
 
     __hash__ = None
 
     def __repr__(self):
-        return f"Tube({np.array2string(self._values, precision=4)}, domain={self._domain!r})"
+        return f"Tube({np.array2string(self._values, precision=4)})"
 
 
 def unit_tube(n):
@@ -146,20 +118,6 @@ def unit_tube(n):
     v = np.zeros(n, dtype=np.complex128)
     v[0] = 1.0
     return Tube(v)
-
-
-def tube_fft(t):
-    """Unnormalized forward DFT of a spatial tube."""
-    if t.domain != SPATIAL:
-        raise DomainMismatch("tube_fft expects a spatial tube")
-    return Tube(np.fft.fft(t.values), FOURIER)
-
-
-def tube_ifft(t):
-    """Inverse DFT (scaled by 1/n) of a Fourier tube."""
-    if t.domain != FOURIER:
-        raise DomainMismatch("tube_ifft expects a Fourier tube")
-    return Tube(np.fft.ifft(t.values), SPATIAL)
 
 
 def tube_mul(a, b):
@@ -206,8 +164,6 @@ def tube_pow(t, k):
     """Integer power under the tube product; negative powers invert first."""
     if not isinstance(k, (int, np.integer)):
         raise TypeError("tube powers must be integers")
-    if t.domain != SPATIAL:
-        raise DomainMismatch("tube_pow expects a spatial tube")
     if k == 0:
         return unit_tube(t.n)
     base = t if k > 0 else tube_div(unit_tube(t.n), t)
@@ -249,11 +205,3 @@ def conjugate_even(values, tol=1e-10, columns=False):
             & (np.abs(v[1:].conj() - v[:0:-1]) <= bound).all(axis=axis)
         )
     return even if columns else bool(even)
-
-
-def is_conjugate_even(t, tol=1e-10):
-    """Whether a Fourier tube has the symmetry of a real signal's DFT; see
-    :func:`conjugate_even`."""
-    if t.domain != FOURIER:
-        raise DomainMismatch("is_conjugate_even expects a Fourier tube")
-    return conjugate_even(t.values, tol)

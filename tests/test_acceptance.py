@@ -16,11 +16,11 @@ from tubal import (
     Tube,
     bcirc,
     conj_transpose,
+    conjugate_even,
     deflate,
     deflated_power_sweep,
     eigenslice_for,
     facewise_sort_tubes,
-    is_conjugate_even,
     spectrum_of,
     t_det,
     t_inverse_power,
@@ -33,7 +33,6 @@ from tubal import (
     tensor_tube_mul,
     tube_conj_t,
     tube_div,
-    tube_fft,
     tube_mul,
     tube_norm,
     tube_pow,
@@ -219,8 +218,8 @@ def test_property_suite():
     for _ in range(10):
         x = Tube(rng.standard_normal(6))
         y = Tube(rng.standard_normal(6) + 2.0 * (np.arange(6) == 0))
-        assert is_conjugate_even(tube_fft(tube_mul(x, y)))
-        assert is_conjugate_even(tube_fft(tube_div(x, y)))
+        assert conjugate_even(tube_mul(x, y).fourier_values)
+        assert conjugate_even(tube_div(x, y).fourier_values)
 
     # determinant laws
     a = random_tensor(rng, 3, 3, 2)

@@ -117,8 +117,7 @@ def test_run_table_t3_writes_outputs(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["tensor", "method", "res_norm", "error", "iter", "cpu_time"]
     assert len(rows) == 1 + len(reports)
-    # timing column stays empty for this table
-    assert all(r[-1] == "" for r in rows[1:])
+    assert [r[-1] for r in rows[1:]] == [f"{rep.wall_time:.3f}" for rep in reports]
     manifest = json.loads((tmp_path / "t3_manifest.json").read_text())
     assert [row["tensor"] for row in manifest["rows"]] == ["tridiag", "complex"]
     traces = list(tmp_path.glob("t3_*.trace.csv"))

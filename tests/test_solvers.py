@@ -781,3 +781,36 @@ def test_config_validation():
         SolverConfig(power_index=0)
     with pytest.raises(ValueError):
         SolverConfig(deflation_variant="XX")
+
+
+# ---------------------------------------------------------------------------
+# the square-shape gate
+
+_SQUARE_ONLY = {
+    "t_lu": factorizations.t_lu,
+    "t_hess": factorizations.t_hess,
+    "t_det": factorizations.t_det,
+    "char_poly_eval": lambda a: factorizations.char_poly_eval(a, unit_tube(a.n)),
+    "spectrum_of": spectrum_of,
+    "eigenslice_for": lambda a: eigenslice_for(a, unit_tube(a.n)),
+    "real_t_schur": factorizations.real_t_schur,
+    "t_inverse": factorizations.t_inverse,
+    "Tensor3.__pow__": lambda a: a**2,
+    "t_power": t_power,
+    "t_inverse_power": lambda a: t_inverse_power(a, unit_tube(a.n)),
+    "deflate": lambda a: deflate(
+        a, unit_tube(a.n), canonical_slice(a.l, 0, a.n), canonical_slice(a.l, 0, a.n)
+    ),
+    "deflated_power_sweep": lambda a: deflated_power_sweep(a, 1),
+    "t_subspace_iteration": lambda a: t_subspace_iteration(a, num=1),
+    "t_qr_unshifted": t_qr_unshifted,
+    "t_qr_shifted": t_qr_shifted,
+}
+
+
+@pytest.mark.parametrize("call", list(_SQUARE_ONLY.values()), ids=list(_SQUARE_ONLY))
+def test_square_only_entry_points_reject_rectangular(rng, call):
+    a = random_tensor(rng, 3, 2, 4, real=True)
+    with pytest.raises(DimensionMismatch) as info:
+        call(a)
+    assert (info.value.axis, info.value.left, info.value.right) == ("rows", 3, 2)
