@@ -31,7 +31,8 @@ from .tensors import (
     _check_square,
     concat_lateral,
     conj_transpose,
-    fourier_norm,
+    parseval_norms,
+    parseval_weights,
     slice_inner,
     slice_normalize,
     t_product,
@@ -175,7 +176,7 @@ def _spatial_from_stack(stack, n, half):
     """Inverse of :func:`_fourier_stack`."""
     if half:
         return Tensor3(np.fft.irfft(np.moveaxis(stack, 0, 2), n=n, axis=2))
-    return Tensor3.from_fourier_faces(stack)
+    return Tensor3(np.fft.ifft(np.moveaxis(stack, 0, 2), axis=2), real=False)
 
 
 def _shifted_solver(stack):
@@ -226,10 +227,7 @@ def _power_loop(a, v0, sigma, cfg, rng):
     if sigma is not None:
         sig = _fourier_stack(Tensor3(sigma.spatial_values[None, None, :]), half)
         solve = _shifted_solver(ahat - sig * np.eye(a.p))
-    # Parseval weights of the faces in the row norms
-    weights = np.full(len(ahat), 1.0 / n)
-    if half:
-        weights[1 : (n + 1) // 2] *= 2.0
+    weights = parseval_weights(n, len(ahat))
     vh = _fourier_stack(v, half)
     av = ahat @ vh
     restarts = 0
@@ -273,15 +271,17 @@ def _power_loop(a, v0, sigma, cfg, rng):
         v_new = w / alpha[:, None, None]
         lam = alpha if sigma is None else 1.0 / alpha + sig[:, 0, 0]
         av = ahat @ v_new
-        resid = fourier_norm(av - v_new * lam[:, None, None], n)
-        trace.append(resid)
+        blocks = [av - v_new * lam[:, None, None]]
         if prev_alpha is not None:
-            dv = fourier_norm(v_new - vh, n)
-            da = fourier_norm(alpha - prev_alpha, n)
-            anorm = max(1.0, fourier_norm(alpha, n))
+            blocks += [v_new - vh, alpha - prev_alpha, alpha, v_new]
+        resid, *change = parseval_norms(weights, *blocks)
+        trace.append(resid)
+        if change:
+            dv, da, anorm, vnorm = change
+            anorm = max(1.0, anorm)
             if dv <= cfg.tol and da <= cfg.tol * anorm:
                 return result(v_new, "tol")
-            if stall.converged(max(dv / max(1.0, fourier_norm(v_new, n)), da / anorm)):
+            if stall.converged(max(dv / max(1.0, vnorm), da / anorm)):
                 return result(v_new, "stall")
         vh, prev_alpha = v_new, alpha
     raise NoConvergence(k, resid, result=result(vh, "cap"))
@@ -504,6 +504,7 @@ def t_subspace_iteration(a, num=None, x0=None, cfg=None, rng=None):
     n = a.n
     half = a.is_real and x0.is_real
     ahat = _fourier_stack(a, half)
+    weights = parseval_weights(n, len(ahat))
     y = ahat @ _fourier_stack(x0, half)
     q = r = r_prev = None
     err_trace = []
@@ -524,10 +525,14 @@ def t_subspace_iteration(a, num=None, x0=None, cfg=None, rng=None):
         q = facewise_qr(y, mode="reduced")[0]
         y = ahat @ q
         r = np.conj(np.swapaxes(q, 1, 2)) @ y
-        resid_trace.append(fourier_norm(y - q @ r, n))
+        blocks = [y - q @ r]
         if r_prev is not None:
-            scale = max(1.0, fourier_norm(r, n))
-            err = fourier_norm(np.tril(r - r_prev), n)
+            blocks += [r, np.tril(r - r_prev)]
+        resid, *change = parseval_norms(weights, *blocks)
+        resid_trace.append(resid)
+        if change:
+            rnorm, err = change
+            scale = max(1.0, rnorm)
             err_trace.append(err)
             if err <= cfg.tol * scale:
                 return result("tol")
@@ -568,6 +573,7 @@ def t_qr_unshifted(a, cfg=None, keep_history=False):
     cfg = cfg or SolverConfig()
     n, half = a.n, a.is_real
     a_k = _fourier_stack(a, half)
+    weights = parseval_weights(n, len(a_k))
     q_acc = r_acc = np.broadcast_to(np.eye(a.p), a_k.shape)
     history = []
     err_trace = []
@@ -591,7 +597,7 @@ def t_qr_unshifted(a, cfg=None, keep_history=False):
         r_acc = r @ r_acc
         if keep_history:
             history.append(QrIterate(*map(spatial, (q, r, a_k, q_acc, r_acc))))
-        err = fourier_norm(np.tril(a_k, -1), n)
+        (err,) = parseval_norms(weights, np.tril(a_k, -1))
         err_trace.append(err)
         if err <= cfg.tol * scale:
             return result("tol")

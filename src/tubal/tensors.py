@@ -224,20 +224,47 @@ def ifft3(a):
     return Tensor3(np.fft.ifft(a.data, axis=2))
 
 
+def parseval_weights(n, faces):
+    """Weights w_f of the Fourier faces in Parseval's sum ||A||_F^2 =
+    sum_f w_f ||A_hat_f||_F^2 for a tensor with n tube entries: 1 / n on
+    each of all n faces; when only the leading ``faces`` = n // 2 + 1 of a
+    real tensor are kept, faces 1 .. (n - 1) // 2 also stand for their
+    conjugate partners and weigh 2 / n."""
+    weights = np.full(faces, 1.0 / n)
+    if faces != n:
+        weights[1 : (n + 1) // 2] *= 2.0
+    return weights
+
+
+def parseval_norms(weights, *blocks):
+    """Frobenius norms of the spatial tensors whose Fourier faces are the
+    nonempty ``blocks``, from one weighted Parseval reduction.
+
+    Each block holds one face per entry of ``weights`` (see
+    :func:`parseval_weights`) along axis 0. The blocks are laid side by side
+    as (faces, k) complex columns, viewed as real and imaginary parts, and
+    ``weights @ (x * x)`` sums every column over the faces at once; the
+    columns of each block then add up to its squared norm.
+    """
+    faces = len(weights)
+    cols = [b.reshape(faces, -1) for b in blocks]
+    # a lone block with F-ordered faces concatenates to an F-ordered copy
+    x = np.concatenate(cols, axis=1, dtype=np.complex128)
+    x = np.ascontiguousarray(x).view(np.float64)
+    starts = [0]
+    for b in blocks[:-1]:
+        starts.append(starts[-1] + 2 * b.size // faces)
+    return np.sqrt(np.add.reduceat(weights @ (x * x), starts)).tolist()
+
+
 def fourier_norm(stack, n):
     """Frobenius norm of the spatial tensor with the given Fourier faces, by
-    Parseval: ||A||_F^2 = sum_f ||A_hat_f||_F^2 / n.
+    Parseval.
 
     ``stack`` is (faces, l, p) and holds either all n faces or, for a real
-    tensor, the leading n // 2 + 1 of them; faces 1 .. (n - 1) // 2 then
-    also stand for their conjugate partners and count twice.
+    tensor, the leading n // 2 + 1 of them (see :func:`parseval_weights`).
     """
-    total = np.vdot(stack, stack).real
-    if stack.shape[0] != n:
-        total = 2.0 * total - np.vdot(stack[0], stack[0]).real
-        if n % 2 == 0:
-            total -= np.vdot(stack[-1], stack[-1]).real
-    return float(np.sqrt(total / n))
+    return parseval_norms(parseval_weights(n, len(stack)), stack)[0]
 
 
 def inner_product(a, b):

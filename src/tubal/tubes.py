@@ -136,12 +136,12 @@ def tube_mul(a, b):
 
 
 def _check_divisor(mags):
-    """Raise :class:`NearSingularTube` when the smallest of the Fourier
-    magnitudes ``mags`` of a divisor falls below
-    ``SINGULARITY_EPS * max(1, max(mags))``."""
+    """Raise :class:`NearSingularTube` unless every Fourier magnitude in
+    ``mags`` of a divisor is above ``SINGULARITY_EPS * max(1, max(mags))``;
+    it names the smallest entry, or the first NaN entry."""
     gate = SINGULARITY_EPS * max(1.0, float(mags.max()))
-    worst = int(np.argmin(mags))
-    if mags[worst] <= gate:
+    if not mags.min() > gate:
+        worst = int(np.argmin(mags))
         raise NearSingularTube(worst, float(mags[worst]), gate)
 
 

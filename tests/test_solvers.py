@@ -240,6 +240,16 @@ def test_power_family_restarts_on_singular_scaling_tube(case, monkeypatch):
     assert isinstance(info.value.__cause__, NearSingularTube)
 
 
+def test_power_nan_tensor_raises_division_failure():
+    # every scaling tube of a NaN tensor is NaN: the divisor gate refuses it
+    # on each restart instead of iterating NaNs to the cap
+    data = tridiag_tensor(p=4).data.copy()
+    data[1, 1, 0] = np.nan
+    with pytest.raises(DivisionFailure) as info:
+        t_power(Tensor3(data), cfg=SolverConfig(rng_seed=0))
+    assert np.isnan(info.value.__cause__.magnitude)
+
+
 # The spatial power loop the solvers ran before they kept their iterates as
 # Fourier face stacks: a t-product (or a facewise solve) per step, the anchor
 # row from spatial row norms, a tube division, and spatial norms throughout.
@@ -585,8 +595,20 @@ def test_subspace_real_and_complex_start_agree(rng):
     full = t_subspace_iteration(a, x0=x0c, cfg=cfg)
     assert half.converged and full.converged
     assert half.u.is_real and half.r.is_real
+    # the flag follows the inputs, not whether the imaginary parts cancel
+    assert not full.u.is_real and not full.r.is_real
     for x, y in zip(half.diag_tubes(), full.diag_tubes()):
         assert (x - y).norm() <= 1e-10
+
+
+def test_power_real_and_complex_start_agree(rng):
+    a = tridiag_tensor()
+    v0 = random_tensor(rng, 10, 1, 3, real=True)
+    half = t_power(a, v0=v0)
+    full = t_power(a, v0=Tensor3(v0.data, real=False))
+    assert half.converged and full.converged
+    assert half.eigenslice.is_real and not full.eigenslice.is_real
+    assert (half.eigentube - full.eigentube).norm() <= 1e-10
 
 
 @pytest.mark.parametrize("iter_max", [1, 2])

@@ -237,6 +237,13 @@ def test_tensor_tube_div_gate(rng):
         tensor_tube_div(a, Tube([0.0, 0.0, 0.0]))
 
 
+def test_tensor_tube_div_nan_gate(rng):
+    a = random_tensor(rng, 2, 2, 3)
+    with pytest.raises(NearSingularTube) as info:
+        tensor_tube_div(a, Tube([np.nan, 1.0, 1.0]))
+    assert info.value.face_index == 0 and np.isnan(info.value.magnitude)
+
+
 def test_slice_inner_canonical():
     e1 = canonical_slice(3, 0, 4)
     e2 = canonical_slice(3, 1, 4)
@@ -285,6 +292,14 @@ def test_slice_normalize_degenerate():
     y = Tensor3(np.zeros((3, 1, 4)))
     with pytest.raises(NearSingularTube):
         slice_normalize(y)
+
+
+def test_slice_normalize_nan_gate(rng):
+    data = random_tensor(rng, 3, 1, 4).data.copy()
+    data[1, 0, 2] = np.nan
+    with pytest.raises(NearSingularTube) as info:
+        slice_normalize(Tensor3(data))
+    assert info.value.face_index == 0 and np.isnan(info.value.magnitude)
 
 
 def test_f_diagonal_builder(rng):

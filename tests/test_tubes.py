@@ -15,6 +15,7 @@ from tubal import (
     tube_pow,
     unit_tube,
 )
+from tubal.tubes import _check_divisor
 
 
 def test_fft_unit_tube_is_all_ones():
@@ -95,6 +96,20 @@ def test_div_zero_tube_rejected():
     with pytest.raises(NearSingularTube) as info:
         tube_div(Tube([1, 2]), Tube([0, 0]))
     assert info.value.face_index in (0, 1)
+
+
+def test_div_nan_tube_rejected():
+    # a NaN spatial entry makes every Fourier entry NaN; the gate must not
+    # let it through as a quotient of NaNs
+    with pytest.raises(NearSingularTube) as info:
+        tube_div(Tube([1, 2, 3]), Tube([np.nan, 1, 1]))
+    assert info.value.face_index == 0 and np.isnan(info.value.magnitude)
+
+
+def test_divisor_gate_names_first_nan_face():
+    with pytest.raises(NearSingularTube) as info:
+        _check_divisor(np.array([3.0, 1.0, np.nan, 0.0, np.nan]))
+    assert info.value.face_index == 2
 
 
 def test_norms():
