@@ -48,6 +48,9 @@ RESTARTS = 3
 #: and again before a complex-shift run is abandoned.
 STAGNATION_LIMIT = 500
 
+#: Power-family steps taken between two scorings (see :func:`_power_loop`).
+_SCORE_CHUNK = 16
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -211,6 +214,13 @@ def _power_loop(a, v0, sigma, cfg, rng):
     norms and every stopping metric come from the stacks by Parseval, the
     tube division is facewise, and only the returned pair is transformed
     back. Random start and restart slices are real when A and sigma are.
+
+    No step reads the stopping metrics, so up to ``_SCORE_CHUNK`` steps fill
+    slots 1, 2, ... of v, alpha and A * v stacks (slot 0: the start slice or
+    the last scored step), then one batched Parseval reduction scores them
+    all and the stop tests are replayed in step order. Pending steps are
+    scored before a restart, a raise or the cap: the results, traces and
+    random draws are those of scoring each step as it is taken.
     """
     _check_square(a)
     cfg = cfg or SolverConfig()
@@ -221,70 +231,98 @@ def _power_loop(a, v0, sigma, cfg, rng):
     v = v0 if v0 is not None else random_slice_set(a.p, 1, a.n, real, rng)
     if v.p != 1 or v.l != a.p or v.n != a.n:
         raise DimensionMismatch("shape", v.shape, (a.p, 1, a.n))
-    n = a.n
+    n, p = a.n, a.p
     half = real and v.is_real
     ahat = _fourier_stack(a, half)
     if sigma is not None:
         sig = _fourier_stack(Tensor3(sigma.spatial_values[None, None, :]), half)
-        solve = _shifted_solver(ahat - sig * np.eye(a.p))
+        solve = _shifted_solver(ahat - sig * np.eye(p))
     weights = parseval_weights(n, len(ahat))
-    vh = _fourier_stack(v, half)
-    av = ahat @ vh
-    restarts = 0
-    prev_alpha = lam = anchor = None
+    starts = [0, 2 * p, 4 * p, 4 * p + 2, 4 * p + 4]  # resid, dv, da, alpha, v in floats
+    vs = np.empty((_SCORE_CHUNK + 1, len(ahat), p, 1), complex)
+    avs = np.empty_like(vs)
+    alphas = np.zeros(vs.shape[:2], complex)
+    lams = alphas if sigma is None else np.zeros_like(alphas)
+    vs[0] = _fourier_stack(v, half)
+    np.matmul(ahat, vs[0], out=avs[0])
+    k = m = restarts = 0
+    fresh = True  # slot 1 follows a start or restart slice: only its resid counts
+    anchor = lam = None
     trace = []
     resid = np.inf
     stall = _StallDetector()
 
-    def result(last, reason):
+    def result(j, reason):
         tube = None if lam is None else Tube(np.fft.irfft(lam, n) if half else np.fft.ifft(lam))
-        v = _spatial_from_stack(last, n, half)
-        return EigenPair(tube, v, resid, k, reason != "cap", reason, trace)
+        v = _spatial_from_stack(vs[j], n, half)
+        return EigenPair(tube, v, resid, k - m + j, reason != "cap", reason, trace)
 
-    k = 0
-    while k < cfg.iter_max:
-        k += 1
-        w = av if sigma is None else solve(vh)
+    def score():
+        """Replay the stop tests of pending steps 1..m in order: the result
+        of the step that stops, else None with step m moved to slot 0."""
+        nonlocal m, fresh, lam, resid
+        if not m:
+            return None
+        lo, hi = slice(0, m), slice(1, m + 1)
+        al = alphas[:, :, None, None]
+        x = np.concatenate([avs[hi] - vs[hi] * lams[hi, :, None, None], vs[hi] - vs[lo],
+                            al[hi] - al[lo], al[hi], vs[hi]], axis=2)
+        x = x.reshape(m, len(ahat), -1).view(np.float64)
+        norms = np.sqrt(np.add.reduceat(weights @ (x * x), starts, axis=1))
+        for j, (resid, dv, da, anorm, vnorm) in enumerate(norms.tolist(), 1):
+            trace.append(resid)
+            if j == 1 and fresh:
+                continue
+            anorm = max(1.0, anorm)
+            reason = "tol" if dv <= cfg.tol and da <= cfg.tol * anorm else None
+            if reason or stall.converged(max(dv / max(1.0, vnorm), da / anorm)):
+                lam = lams[j]
+                return result(j, reason or "stall")
+        vs[0], avs[0], alphas[0], lams[0] = vs[m], avs[m], alphas[m], lams[m]
+        lam, m, fresh = lams[0], 0, False
+        return None
+
+    while True:
+        if m == _SCORE_CHUNK or k == cfg.iter_max:
+            if stop := score():
+                return stop
+            if k == cfg.iter_max:
+                raise NoConvergence(k, resid, result=result(0, "cap"))
+        w = avs[m] if sigma is None else solve(vs[m])
         rows = np.sqrt(weights @ (w.real**2 + w.imag**2)[:, :, 0])
-        if rows.max() == 0.0:
-            raise ZeroSlice("every tube of the slice is zero")
+        top = rows.max()
         # the anchor row is kept while its norm stays above a tenth of the
         # largest: rows of the limiting eigenslice can trade the argmax back
         # and forth (tube norms are not multiplicative), and a bare argmax
         # would then never let the iterates settle although their span
         # converges; a row whose component genuinely dies out is abandoned
-        if anchor is None or rows[anchor] < 0.1 * rows.max():
+        if anchor is None or rows[anchor] < 0.1 * top:
             anchor = int(np.argmax(rows))
         alpha = w[:, anchor, 0]
         try:
             _check_divisor(np.abs(alpha))
         except NearSingularTube as exc:
+            if stop := score():
+                return stop
+            # a zero slice (every row norm 0, even by underflow) fails the gate
+            if top == 0.0:
+                raise ZeroSlice("every tube of the slice is zero") from None
             if restarts >= RESTARTS:
                 raise DivisionFailure(
                     f"scaling tube stayed near singular after {restarts} restarts"
                 ) from exc
             restarts += 1
-            vh = _fourier_stack(random_slice_set(a.p, 1, n, real, rng), half)
-            av = ahat @ vh
-            prev_alpha = anchor = None
+            k += 1
+            fresh, anchor = True, None
+            vs[0] = _fourier_stack(random_slice_set(p, 1, n, real, rng), half)
+            np.matmul(ahat, vs[0], out=avs[0])
             continue
-        v_new = w / alpha[:, None, None]
-        lam = alpha if sigma is None else 1.0 / alpha + sig[:, 0, 0]
-        av = ahat @ v_new
-        blocks = [av - v_new * lam[:, None, None]]
-        if prev_alpha is not None:
-            blocks += [v_new - vh, alpha - prev_alpha, alpha, v_new]
-        resid, *change = parseval_norms(weights, *blocks)
-        trace.append(resid)
-        if change:
-            dv, da, anorm, vnorm = change
-            anorm = max(1.0, anorm)
-            if dv <= cfg.tol and da <= cfg.tol * anorm:
-                return result(v_new, "tol")
-            if stall.converged(max(dv / max(1.0, vnorm), da / anorm)):
-                return result(v_new, "stall")
-        vh, prev_alpha = v_new, alpha
-    raise NoConvergence(k, resid, result=result(vh, "cap"))
+        k, m = k + 1, m + 1
+        np.divide(w, alpha[:, None, None], out=vs[m])
+        alphas[m] = alpha
+        if sigma is not None:
+            lams[m] = 1.0 / alpha + sig[:, 0, 0]
+        np.matmul(ahat, vs[m], out=avs[m])
 
 
 def t_power(a, v0=None, cfg=None, rng=None):
@@ -297,7 +335,8 @@ def t_power(a, v0=None, cfg=None, rng=None):
     or once the stall detector reports that the iteration sits at its
     floating point noise floor (``"stall"``). A near-singular scaling tube
     triggers a restart with a fresh random slice, up to ``RESTARTS`` times.
-    A step is one batched matrix product on the Fourier faces.
+    A step is one batched matrix product on the Fourier faces; its stopping
+    norms are taken with those of up to ``_SCORE_CHUNK`` - 1 other steps.
     """
     return _power_loop(a, v0, None, cfg, rng)
 

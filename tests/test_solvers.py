@@ -240,6 +240,40 @@ def test_power_family_restarts_on_singular_scaling_tube(case, monkeypatch):
     assert isinstance(info.value.__cause__, NearSingularTube)
 
 
+def _run_bits(solve):
+    """Everything a power-family run reports, capped or not, as exact bits."""
+    try:
+        pair, capped = solve(), None
+    except NoConvergence as exc:
+        pair, capped = exc.result, exc.iterations
+    tube = None if pair.eigentube is None else pair.eigentube.spatial_values.tobytes()
+    return (
+        capped, pair.iterations, pair.stop_reason, np.array(pair.residual_trace).tobytes(),
+        np.float64(pair.residual_norm).tobytes(), tube, pair.eigenslice.data.tobytes(),
+    )
+
+
+@pytest.mark.parametrize("method", ["power", "inverse_power"])
+@pytest.mark.parametrize("kind", ["tridiag", "stochastic", "complex", "realeig", "restart"])
+def test_chunked_scoring_matches_per_step_scoring(kind, method, monkeypatch):
+    # caps at, next to and across the chunk boundaries of 16 steps, and the
+    # default cap; "restart" is the n = 2 tridiag tensor whose start slice
+    # restarts the run, so its random draw must come at the same step
+    if kind == "restart":
+        solve = _restart_cases()[0 if method == "power" else 1][0]
+    else:
+        a = make_tensor(kind)
+        sigma = None if method == "power" else Tube(np.eye(1, a.n)[0] * 1e-3)
+
+        def solve(cfg):
+            return t_power(a, cfg=cfg) if sigma is None else t_inverse_power(a, sigma, cfg=cfg)
+
+    caps = (1, 15, 16, 17, 33, 3000)
+    chunked = [_run_bits(lambda: solve(SolverConfig(iter_max=c))) for c in caps]
+    monkeypatch.setattr(solvers, "_SCORE_CHUNK", 1)
+    assert [_run_bits(lambda: solve(SolverConfig(iter_max=c))) for c in caps] == chunked
+
+
 def test_power_nan_tensor_raises_division_failure():
     # every scaling tube of a NaN tensor is NaN: the divisor gate refuses it
     # on each restart instead of iterating NaNs to the cap
