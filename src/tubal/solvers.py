@@ -29,7 +29,6 @@ from .factorizations import _first_small_pivot, eigenslice_for, facewise_qr, t_h
 from .tensors import (
     Tensor3,
     _check_square,
-    concat_lateral,
     conj_transpose,
     parseval_norms,
     parseval_weights,
@@ -38,7 +37,7 @@ from .tensors import (
     t_product,
     tensor_tube_mul,
 )
-from .tubes import Tube, _check_divisor, conjugate_even, tube_conj_t, tube_div, tube_mul, unit_tube
+from .tubes import Tube, _check_divisor, conjugate_even, tube_conj_t, tube_div, unit_tube
 
 #: Fresh random start slices a power-type iteration takes after a
 #: near-singular scaling tube before it raises :class:`DivisionFailure`.
@@ -404,17 +403,16 @@ def deflated_power_sweep(a, num, cfg=None):
     ``cfg.deflation_variant``: the eigenslice itself (DE), the left
     eigenslice computed by a power iteration on the conjugate transpose
     (DLE), or the Schur slice obtained by orthonormalizing against the
-    previous ones (DS). Reported eigenslices are mapped back to eigenslices
-    of the original tensor: DE and DLE results are corrected stage by stage
-    through the deflation relation; DS takes its eigentubes from the
-    diagonal of the compression R = Q^H * A * Q over the accumulated Schur
-    basis Q and each eigenslice from :func:`eigenslice_for` on the original
-    tensor, which raises as described there. A stage that hits the
-    iteration cap raises :class:`NoConvergence` whose result lists the
-    completed stages, mapped back as on success, then the partial pair of
-    the capped power iteration; when the left iteration of a DLE stage hits
-    the cap, that stage's converged right pair is mapped back in its place,
-    marked not converged with stop reason "cap".
+    previous ones (DS). Deflation keeps the other eigentubes, so every
+    variant reports each stage's own eigentube together with an eigenslice
+    of the original tensor from :func:`eigenslice_for`, which raises
+    :class:`NotAnEigentube` or :class:`DefectiveFace` as described there.
+    A stage that hits the iteration cap raises :class:`NoConvergence`
+    whose result lists the completed stages, mapped back as on success,
+    then the partial pair of the capped power iteration; when the left
+    iteration of a DLE stage hits the cap, that stage's converged right
+    pair is mapped back in its place, marked not converged with stop
+    reason "cap".
     """
     _check_square(a)
     cfg = cfg or SolverConfig()
@@ -425,41 +423,16 @@ def deflated_power_sweep(a, num, cfg=None):
     e = unit_tube(a.n)
 
     a_cur = a
-    lambdas = []
-    zs = []  # the slice used in each rank-one update
-    vs = []  # the pairing slice of each update
     qs = []  # DS: accumulated Schur slices
     stages = []  # the power pair of each completed stage
 
     def mapped_back():
-        count = len(stages)
-        if variant == "DS":
-            qtens = concat_lateral(qs)
-            r = t_product(t_product(conj_transpose(qtens), a), qtens)
-            tubes = [Tube(r.data[j, j, :]) for j in range(count)]
-            slices = [eigenslice_for(a, lam) for lam in tubes]
-        else:
-            tubes = lambdas
-            slices = []
-            for m in range(count):
-                y = zs[m]
-                for j in range(m - 1, -1, -1):
-                    try:
-                        gamma = tube_div(
-                            tube_mul(lambdas[j], slice_inner(vs[j], y)),
-                            lambdas[m] - lambdas[j],
-                        )
-                    except NearSingularTube as exc:
-                        raise ShiftCollision(
-                            f"eigentubes {m} and {j} coincide on a face"
-                        ) from exc
-                    y = y + tensor_tube_mul(zs[j], gamma)
-                ynorm, _ = slice_normalize(y)
-                slices.append(ynorm)
         pairs = []
-        for lam, x, st in zip(tubes, slices, stages):
+        for st in stages:
+            lam = st.eigentube
+            x = eigenslice_for(a, lam)
             resid = (t_product(a, x) - tensor_tube_mul(x, lam)).frob_norm()
-            pairs.append(replace(st, eigentube=lam, eigenslice=x, residual_norm=resid))
+            pairs.append(replace(st, eigenslice=x, residual_norm=resid))
         return pairs
 
     for stage in range(1, num + 1):
@@ -473,11 +446,9 @@ def deflated_power_sweep(a, num, cfg=None):
             if pair is not None:
                 # the left iteration hit the cap: the stage's converged
                 # right pair is the eigenpair estimate, mapped back as such
-                zs.append(slice_normalize(pair.eigenslice)[0])
-                lambdas.append(pair.eigentube)
                 stages.append(replace(pair, converged=False, stop_reason="cap"))
                 partial = []
-            done = mapped_back() if stages else []
+            done = mapped_back()
             raise NoConvergence(
                 sum(p.iterations for p in done) + exc.iterations,
                 exc.last_residual,
@@ -503,9 +474,6 @@ def deflated_power_sweep(a, num, cfg=None):
                         "left and right eigenslices are numerically orthogonal"
                     ) from exc
             a_cur = deflate(a_cur, lam, z, v)
-            zs.append(z)
-            vs.append(v)
-        lambdas.append(lam)
         stages.append(pair)
     return mapped_back()
 

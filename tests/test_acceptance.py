@@ -122,7 +122,7 @@ def test_table3_inverse_power():
 
 
 def test_table5_deflation_variants():
-    cases = [("tridiag", 3), ("realeig", 4)]
+    cases = [("tridiag", 3), ("tridiag", 5), ("realeig", 4), ("realeig", 6)]
     ok = True
     details = []
     for name, num in cases:

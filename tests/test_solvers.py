@@ -519,6 +519,23 @@ def test_sweep_full_spectrum_f_hermitian(rng, variant):
     assert res <= 1e-8 * max(1.0, a.frob_norm())
 
 
+@pytest.mark.parametrize("variant", ["DE", "DLE", "DS"])
+def test_sweep_eigentubes_meeting_on_a_face(variant):
+    # Fourier faces diag(3, 2, 1) and diag(2, 2, 1) in one orthogonal basis:
+    # the first two eigentubes meet on face 1, whose eigenslice entries then
+    # come from a two-dimensional null space
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
+    faces = np.stack([q @ np.diag(d) @ q.T for d in ([3.0, 2.0, 1.0], [2.0, 2.0, 1.0])])
+    a = Tensor3(np.fft.ifft(faces, axis=0).real.transpose(1, 2, 0))
+    pairs = deflated_power_sweep(a, 3, cfg=SolverConfig(rng_seed=0, deflation_variant=variant))
+    want = [[3.0, 2.0], [2.0, 2.0], [1.0, 1.0]]
+    for p, lam in zip(pairs, want):
+        assert_allclose(p.eigentube.fourier_values, lam, atol=1e-12)
+        res = (t_product(a, p.eigenslice) - tensor_tube_mul(p.eigenslice, p.eigentube)).frob_norm()
+        assert res <= 1e-12
+        assert p.residual_norm == res
+
+
 @pytest.mark.parametrize("variant", ["DE", "DS"])
 def test_capped_sweep_lists_every_stage(variant):
     a = make_tensor("realeig")
@@ -534,11 +551,10 @@ def test_capped_sweep_lists_every_stage(variant):
     assert [p.iterations for p in pairs] == stage_iters[:capped] + [cap]
     assert info.value.iterations == sum(stage_iters[:capped]) + cap
     assert [p.stop_reason for p in pairs] == [p.stop_reason for p in full[:capped]] + ["cap"]
-    if variant == "DE":
-        # DE maps stage m back with stages 0 .. m - 1 only
-        for got, want in zip(pairs[:capped], full):
-            assert got.eigentube == want.eigentube
-            assert np.array_equal(got.eigenslice.data, want.eigenslice.data)
+    # a completed stage's pair depends on its own eigentube and A alone
+    for got, want in zip(pairs[:capped], full):
+        assert got.eigentube == want.eigentube
+        assert np.array_equal(got.eigenslice.data, want.eigenslice.data)
     assert not pairs[-1].converged
 
 
@@ -564,7 +580,7 @@ def test_capped_left_iteration_keeps_right_pair(monkeypatch):
     assert len(pairs) == 2
     assert info.value.iterations == right1 + right2 + cap
     for got, want in zip(pairs, full):
-        # stage m is mapped back with stages 0 .. m - 1 only
+        # stage m's eigenslice comes from its own eigentube and A alone
         assert got.eigentube == want.eigentube
         assert np.array_equal(got.eigenslice.data, want.eigenslice.data)
         assert got.residual_norm == want.residual_norm
