@@ -8,10 +8,12 @@ their conjugates, so the spatial factors come out exactly real.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     DefectiveFace,
@@ -101,6 +103,15 @@ class TQrResult:
     r: Tensor3
 
 
+def _qr_error(err, flag):
+    raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
+
+
+@functools.cache
+def _strictly_lower(rows, cols):
+    return np.tri(rows, cols, -1, dtype=bool)
+
+
 def facewise_qr(stack, mode):
     """QR of every face of an (faces, l, p) stack in one batched call.
 
@@ -108,14 +119,33 @@ def facewise_qr(stack, mode):
     :func:`numpy.linalg.qr`. Each face pair is normalized so the diagonal
     of R is real nonnegative, which makes it unique, gives conjugate faces
     conjugate factors, and lets fixed-point iterations built on this kernel
-    become exactly stationary. Returns the Q and R stacks.
+    become exactly stationary. Returns the complex Q and R stacks.
+
+    LAPACK's QR (``geqrf``, then ``orgqr`` / ``ungqr``) runs through the
+    gufuncs behind ``np.linalg.qr``, one call each for the whole stack, with
+    that function's error handling but not its wrapper costs: float64 and
+    complex128 stacks get its factors bit for bit. Single-precision stacks
+    are factored in double precision and not rounded back.
     """
-    q, r = np.linalg.qr(stack, mode=mode)
-    d = np.diagonal(r, axis1=1, axis2=2)
+    if mode not in ("complete", "reduced"):
+        raise ValueError(f"unknown QR mode {mode!r}")
+    # a copy: geqrf overwrites its input with R and the reflectors
+    a = np.array(stack, dtype=complex if np.iscomplexobj(stack) else float)
+    rows, cols = a.shape[1:]
+    t = "D" if a.dtype == complex else "d"
+    full = mode == "complete" and rows > cols
+    with np.errstate(call=_qr_error, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        tau = _umath_linalg.qr_r_raw(a, signature=f"{t}->{t}")
+        q = (_umath_linalg.qr_complete if full else _umath_linalg.qr_reduced)(
+            a, tau, signature=f"{t}{t}->{t}")
+    k = q.shape[2]
+    r = np.where(_strictly_lower(k, cols), 0, a[:, :k])
+    d = r.diagonal(0, 1, 2)
     mag = np.abs(d)
-    nz = mag > 0
-    phase = np.ones((q.shape[0], q.shape[2]), dtype=np.complex128)
-    phase[:, : d.shape[1]] = np.where(nz, d / np.where(nz, mag, 1.0), 1.0)
+    phase = np.divide(d, mag, out=np.ones_like(d), where=mag > 0).astype(complex, copy=False)
+    if k > phase.shape[1]:
+        phase = np.concatenate([phase, np.ones((len(phase), k - phase.shape[1]))], axis=1)
     return q * phase[:, None, :], np.conj(phase)[:, :, None] * r
 
 

@@ -237,7 +237,6 @@ def _power_loop(a, v0, sigma, cfg, rng):
         sig = _fourier_stack(Tensor3(sigma.spatial_values[None, None, :]), half)
         solve = _shifted_solver(ahat - sig * np.eye(p))
     weights = parseval_weights(n, len(ahat))
-    starts = [0, 2 * p, 4 * p, 4 * p + 2, 4 * p + 4]  # resid, dv, da, alpha, v in floats
     vs = np.empty((_SCORE_CHUNK + 1, len(ahat), p, 1), complex)
     avs = np.empty_like(vs)
     alphas = np.zeros(vs.shape[:2], complex)
@@ -264,11 +263,9 @@ def _power_loop(a, v0, sigma, cfg, rng):
             return None
         lo, hi = slice(0, m), slice(1, m + 1)
         al = alphas[:, :, None, None]
-        x = np.concatenate([avs[hi] - vs[hi] * lams[hi, :, None, None], vs[hi] - vs[lo],
-                            al[hi] - al[lo], al[hi], vs[hi]], axis=2)
-        x = x.reshape(m, len(ahat), -1).view(np.float64)
-        norms = np.sqrt(np.add.reduceat(weights @ (x * x), starts, axis=1))
-        for j, (resid, dv, da, anorm, vnorm) in enumerate(norms.tolist(), 1):
+        norms = parseval_norms(weights, avs[hi] - vs[hi] * lams[hi, :, None, None],
+                               vs[hi] - vs[lo], al[hi] - al[lo], al[hi], vs[hi])
+        for j, (resid, dv, da, anorm, vnorm) in enumerate(norms, 1):
             trace.append(resid)
             if j == 1 and fresh:
                 continue
@@ -489,13 +486,20 @@ def t_subspace_iteration(a, num=None, x0=None, cfg=None, rng=None):
     izes with an economy facewise QR, and compresses R = X^H * A * X.
     Iteration stops once the f-lower-triangular part of R (diagonal
     included) moves by at most ``cfg.tol`` between steps, relative to the
-    magnitude of R.
+    magnitude of R (stop reason ``"tol"``), or once the stall detector
+    reports a noise floor (``"stall"``). ``x0``, or ``num`` random slices,
+    holds 1 to p slices.
 
     The iterate X, the product Y = A * X and R stay Fourier face stacks for
     the whole run, the leading n // 2 + 1 faces when A and X0 are real: a
-    step is one batched QR and a few batched matrix products, Y serves as
+    step is one :func:`facewise_qr` call and the power products, Y serves as
     the next step's first power application, every norm is taken from the
     stacks by Parseval, and only the returned tensors are transformed back.
+    No step reads R or the stopping metrics, so steps are scored in chunks
+    as in :func:`_power_loop`: up to ``_SCORE_CHUNK`` steps fill slots 1,
+    2, ... of X and Y stacks (slot 0: the last scored step), then batched
+    products give their R and residuals, one Parseval reduction their
+    norms, and the stop tests are replayed in step order.
     """
     _check_square(a)
     cfg = cfg or SolverConfig()
@@ -503,50 +507,72 @@ def t_subspace_iteration(a, num=None, x0=None, cfg=None, rng=None):
     if x0 is None:
         if num is None:
             raise ValueError("pass either num or x0")
+        if num < 1 or num > a.p:
+            raise ValueError(f"num must be in 1..{a.p}, got {num}")
         x0 = random_slice_set(a.p, num, a.n, a.is_real, rng)
     if x0.n != a.n:
         raise DimensionMismatch("tubes", a.n, x0.n)
     if x0.l != a.p:
         raise DimensionMismatch("inner", a.p, x0.l)
-    n = a.n
+    if x0.p > a.p:
+        raise ValueError(f"x0 must have at most {a.p} columns, got {x0.p}")
+    n, cols = a.n, x0.p
     half = a.is_real and x0.is_real
     ahat = _fourier_stack(a, half)
     weights = parseval_weights(n, len(ahat))
-    y = ahat @ _fourier_stack(x0, half)
-    q = r = r_prev = None
+    lower = np.tri(cols, dtype=bool)
+    qs = np.empty((_SCORE_CHUNK + 1, len(ahat), a.p, cols), complex)
+    ys = np.empty_like(qs)
+    # slot 0's R is read (and its change discarded) before any step fills it
+    rs = np.zeros((_SCORE_CHUNK + 1, len(ahat), cols, cols), complex)
+    np.matmul(ahat, _fourier_stack(x0, half), out=ys[0])
+    k = m = 0
+    fresh = True  # slot 1 is the first step: only its residual counts
     err_trace = []
     resid_trace = []
     err = np.inf
     stall = _StallDetector()
 
-    def result(reason):
-        u = _spatial_from_stack(q, n, half)
-        rr = _spatial_from_stack(r, n, half)
-        return SchurResult(u, rr, k, reason != "cap", reason, err_trace, resid_trace)
+    def result(j, reason):
+        u = _spatial_from_stack(qs[j], n, half)
+        rr = _spatial_from_stack(rs[j], n, half)
+        return SchurResult(u, rr, k - m + j, reason != "cap", reason, err_trace, resid_trace)
 
-    k = 0
-    while k < cfg.iter_max:
-        k += 1
-        for _ in range(cfg.power_index - 1):
-            y = ahat @ y
-        q = facewise_qr(y, mode="reduced")[0]
-        y = ahat @ q
-        r = np.conj(np.swapaxes(q, 1, 2)) @ y
-        blocks = [y - q @ r]
-        if r_prev is not None:
-            blocks += [r, np.tril(r - r_prev)]
-        resid, *change = parseval_norms(weights, *blocks)
-        resid_trace.append(resid)
-        if change:
-            rnorm, err = change
+    def score():
+        """Replay the stop tests of pending steps 1..m in order: the result
+        of the step that stops, else None with step m moved to slot 0."""
+        nonlocal m, fresh, err
+        lo, hi = slice(0, m), slice(1, m + 1)
+        np.matmul(np.conj(np.swapaxes(qs[hi], 2, 3)), ys[hi], out=rs[hi])
+        norms = parseval_norms(weights, ys[hi] - qs[hi] @ rs[hi], rs[hi],
+                               np.where(lower, rs[hi] - rs[lo], 0))
+        for j, (resid, rnorm, change) in enumerate(norms, 1):
+            resid_trace.append(resid)
+            if j == 1 and fresh:
+                continue
+            err = change
             scale = max(1.0, rnorm)
             err_trace.append(err)
             if err <= cfg.tol * scale:
-                return result("tol")
+                return result(j, "tol")
             if stall.converged(err / scale):
-                return result("stall")
-        r_prev = r
-    raise NoConvergence(k, err, result=result("cap"))
+                return result(j, "stall")
+        qs[0], ys[0], rs[0] = qs[m], ys[m], rs[m]
+        m, fresh = 0, False
+        return None
+
+    while True:
+        if m == _SCORE_CHUNK or k == cfg.iter_max:
+            if m and (stop := score()):
+                return stop
+            if k == cfg.iter_max:
+                raise NoConvergence(k, err, result=result(0, "cap"))
+        y = ys[m]
+        for _ in range(cfg.power_index - 1):
+            y = ahat @ y
+        k, m = k + 1, m + 1
+        qs[m] = facewise_qr(y, "reduced")[0]
+        np.matmul(ahat, qs[m], out=ys[m])
 
 
 # ---------------------------------------------------------------------------

@@ -240,21 +240,24 @@ def parseval_norms(weights, *blocks):
     """Frobenius norms of the spatial tensors whose Fourier faces are the
     nonempty ``blocks``, from one weighted Parseval reduction.
 
-    Each block holds one face per entry of ``weights`` (see
-    :func:`parseval_weights`) along axis 0. The blocks are laid side by side
-    as (faces, k) complex columns, viewed as real and imaginary parts, and
+    Each block is a (faces, rows, cols) stack or a (faces,) column, with one
+    face per entry of ``weights`` (see :func:`parseval_weights`), or a batch
+    of them shaped (..., faces, rows, cols); the blocks of one call share
+    their leading batch dimensions. The blocks are laid side by side as
+    (..., faces, k) complex columns, viewed as real and imaginary parts, and
     ``weights @ (x * x)`` sums every column over the faces at once; the
-    columns of each block then add up to its squared norm.
+    columns of each block then add up to its squared norm. Returns the list
+    of norms, or for a batch one such list per batch entry.
     """
-    faces = len(weights)
-    cols = [b.reshape(faces, -1) for b in blocks]
+    shape = (*blocks[0].shape[:-3], len(weights), -1)
+    cols = [b.reshape(shape) for b in blocks]
     # a lone block with F-ordered faces concatenates to an F-ordered copy
-    x = np.concatenate(cols, axis=1, dtype=np.complex128)
+    x = np.concatenate(cols, axis=-1, dtype=np.complex128)
     x = np.ascontiguousarray(x).view(np.float64)
     starts = [0]
-    for b in blocks[:-1]:
-        starts.append(starts[-1] + 2 * b.size // faces)
-    return np.sqrt(np.add.reduceat(weights @ (x * x), starts)).tolist()
+    for c in cols[:-1]:
+        starts.append(starts[-1] + 2 * c.shape[-1])
+    return np.sqrt(np.add.reduceat(weights @ (x * x), starts, axis=-1)).tolist()
 
 
 def fourier_norm(stack, n):

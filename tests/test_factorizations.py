@@ -20,6 +20,7 @@ from tubal import (
     conj_transpose,
     eigenslice_for,
     f_diagonal,
+    facewise_qr,
     facewise_sort_tubes,
     identity,
     in_range,
@@ -124,6 +125,50 @@ def test_qr_matches_per_face_loop_bitwise(rng, mode, shape, real):
     for got, want in ((res.q, q_ref), (res.r, r_ref)):
         assert got.shape == want.shape and got.is_real == want.is_real == real
         assert np.array_equal(got.data, want.data)
+
+
+def _numpy_qr_normalized(stack, mode):
+    """np.linalg.qr of a whole stack, then the documented normalization:
+    column j of Q times, and row j of R times the conjugate of, the phase
+    d / |d| of R's diagonal entry d, or 1 where d is zero or Q has no such
+    entry."""
+    q, r = np.linalg.qr(stack, mode=mode)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    phase = np.ones((q.shape[0], q.shape[2]), dtype=np.complex128)
+    nz = np.abs(d) > 0
+    phase[:, : d.shape[1]][nz] = d[nz] / np.abs(d[nz])
+    return q * phase[:, None, :], np.conj(phase)[:, :, None] * r
+
+
+@pytest.mark.parametrize("mode", ["complete", "reduced"])
+@pytest.mark.parametrize("shape", [(1, 3, 5), (4, 3, 5), (1, 4, 4), (6, 4, 4), (1, 6, 3), (5, 6, 3)])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("zero_column", [False, True])
+def test_facewise_qr_matches_numpy_qr_bitwise(rng, mode, shape, dtype, zero_column):
+    # facewise_qr calls the LAPACK gufuncs behind np.linalg.qr directly; a
+    # numpy whose QR differs from them, even in the last bit, fails here
+    stack = rng.standard_normal(shape).astype(dtype)
+    if dtype is np.complex128:
+        stack += 1j * rng.standard_normal(shape)
+    if zero_column:
+        stack[-1, :, 0] = 0.0
+    before = stack.copy()
+    q, r = facewise_qr(stack, mode)
+    q_ref, r_ref = _numpy_qr_normalized(stack, mode)
+    assert np.array_equal(stack, before)
+    for got, want in ((q, q_ref), (r, r_ref)):
+        assert got.dtype == want.dtype == np.complex128
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    if zero_column:
+        # a zero diagonal entry of R keeps numpy's column: its phase is 1
+        assert r[-1, 0, 0] == 0.0
+        assert np.array_equal(q[-1, :, 0], np.linalg.qr(stack[-1], mode=mode)[0][:, 0])
+
+
+def test_facewise_qr_rejects_unknown_mode(rng):
+    with pytest.raises(ValueError, match="unknown QR mode"):
+        facewise_qr(rng.standard_normal((2, 3, 3)), "r")
 
 
 def _tube_from_fourier(vals):

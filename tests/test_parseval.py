@@ -54,3 +54,16 @@ def test_parseval_norms_match_spatial_norms(n, half, specs, seed):
         assert isinstance(got, float)
         assert_allclose(got, np.linalg.norm(data), rtol=1e-13)
         assert_allclose(fourier_norm(block, n), got, rtol=1e-13)
+
+
+@pytest.mark.parametrize("half", [True, False])
+def test_parseval_norms_batch_rows_are_single_calls(half):
+    # a leading batch axis gives one row of norms per entry, bit for bit
+    # those of a call on that entry alone, as the chunked solvers need
+    rng = np.random.default_rng(7)
+    n, batch = 6, 5
+    blocks = [np.stack([faces_of(rng.standard_normal((l, p, n)), half) for _ in range(batch)])
+              for l, p in ((4, 3), (2, 2), (1, 1))]
+    weights = parseval_weights(n, blocks[0].shape[1])
+    rows = parseval_norms(weights, *blocks)
+    assert rows == [parseval_norms(weights, *(b[i] for b in blocks)) for i in range(batch)]

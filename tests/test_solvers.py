@@ -274,6 +274,37 @@ def test_chunked_scoring_matches_per_step_scoring(kind, method, monkeypatch):
     assert [_run_bits(lambda: solve(SolverConfig(iter_max=c))) for c in caps] == chunked
 
 
+def _schur_bits(solve):
+    """Everything a subspace run reports, capped or not, as exact bits."""
+    try:
+        res, capped = solve(), None
+    except NoConvergence as exc:
+        res, capped = exc.result, exc.iterations
+    return (
+        capped, res.iterations, res.stop_reason, res.u.data.tobytes(), res.r.data.tobytes(),
+        np.array(res.error_trace).tobytes(), np.array(res.residual_trace).tobytes(),
+    )
+
+
+@pytest.mark.parametrize("power_index", [1, 4])
+@pytest.mark.parametrize("kind, tol", [("tridiag", 1e-15), ("complex", 1e-15), ("tridiag", 1e-300)])
+def test_subspace_chunked_scoring_matches_per_step_scoring(kind, tol, power_index, monkeypatch):
+    # caps at, next to and across the chunk boundaries of 16 steps, and the
+    # default cap; at tol 1e-300 the tridiag runs stop on the stall detector
+    a = make_tensor(kind)
+    caps = (1, 2, 15, 16, 17, 33, 3000)
+
+    def bits(cap):
+        cfg = SolverConfig(tol=tol, iter_max=cap, power_index=power_index)
+        return _schur_bits(lambda: t_subspace_iteration(a, num=4, cfg=cfg))
+
+    chunked = [bits(c) for c in caps]
+    if tol < 1e-15:
+        assert chunked[-1][2] == "stall"
+    monkeypatch.setattr(solvers, "_SCORE_CHUNK", 1)
+    assert [bits(c) for c in caps] == chunked
+
+
 def test_power_nan_tensor_raises_division_failure():
     # every scaling tube of a NaN tensor is NaN: the divisor gate refuses it
     # on each restart instead of iterating NaNs to the cap
@@ -685,6 +716,18 @@ def test_subspace_start_shape_checked():
         t_subspace_iteration(tridiag_tensor(), x0=zeros(9, 2, 3))
     with pytest.raises(DimensionMismatch):
         t_subspace_iteration(tridiag_tensor(), x0=zeros(10, 2, 4))
+
+
+@pytest.mark.parametrize("num", [0, 11])
+def test_subspace_rejects_bad_count(num):
+    with pytest.raises(ValueError, match="num must be in 1..10"):
+        t_subspace_iteration(tridiag_tensor(), num=num)
+
+
+def test_subspace_rejects_wide_start():
+    # a tensor has at least one column, so only too many can be passed
+    with pytest.raises(ValueError, match="x0 must have at most 10 columns"):
+        t_subspace_iteration(tridiag_tensor(), x0=zeros(10, 11, 3))
 
 
 def test_subspace_requires_size():
