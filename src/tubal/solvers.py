@@ -37,7 +37,9 @@ from .tensors import (
     t_product,
     tensor_tube_mul,
 )
-from .tubes import Tube, _check_divisor, conjugate_even, tube_conj_t, tube_div, unit_tube
+from .tubes import (
+    Tube, _check_divisor, _divisor_ok, conjugate_even, tube_conj_t, tube_div, unit_tube,
+)
 
 #: Fresh random start slices a power-type iteration takes after a
 #: near-singular scaling tube before it raises :class:`DivisionFailure`.
@@ -214,12 +216,17 @@ def _power_loop(a, v0, sigma, cfg, rng):
     tube division is facewise, and only the returned pair is transformed
     back. Random start and restart slices are real when A and sigma are.
 
-    No step reads the stopping metrics, so up to ``_SCORE_CHUNK`` steps fill
-    slots 1, 2, ... of v, alpha and A * v stacks (slot 0: the start slice or
-    the last scored step), then one batched Parseval reduction scores them
-    all and the stop tests are replayed in step order. Pending steps are
+    Steps are taken speculatively: up to ``_SCORE_CHUNK`` of them, each a
+    division by the current anchor row and a product, fill slots 1, 2, ...
+    of w, v and A * v stacks (slot 0: the start slice or the last scored
+    step). One batched check then takes their row norms and divisor gates
+    and drops the first step whose anchor row fell below a tenth of the
+    largest, or whose alpha fails the gate, with every later step; the
+    anchor then moves and the step is retaken, or the run restarts or
+    raises. One batched Parseval reduction scores the steps that passed
+    and the stop tests are replayed in step order. Pending steps are
     scored before a restart, a raise or the cap: the results, traces and
-    random draws are those of scoring each step as it is taken.
+    random draws are those of checking and scoring each step as taken.
     """
     _check_square(a)
     cfg = cfg or SolverConfig()
@@ -237,18 +244,28 @@ def _power_loop(a, v0, sigma, cfg, rng):
         sig = _fourier_stack(Tensor3(sigma.spatial_values[None, None, :]), half)
         solve = _shifted_solver(ahat - sig * np.eye(p))
     weights = parseval_weights(n, len(ahat))
-    vs = np.empty((_SCORE_CHUNK + 1, len(ahat), p, 1), complex)
-    avs = np.empty_like(vs)
+    # step j divides the w in slot j; without a shift that is A * v of step j - 1
+    ws = np.empty((_SCORE_CHUNK + 2, len(ahat), p, 1), complex)
+    vs = np.empty_like(ws[1:])
+    avs = ws[1:] if sigma is None else np.empty_like(vs)
     alphas = np.zeros(vs.shape[:2], complex)
     lams = alphas if sigma is None else np.zeros_like(alphas)
-    vs[0] = _fourier_stack(v, half)
-    np.matmul(ahat, vs[0], out=avs[0])
+    wl, vl, avl = list(ws), list(vs), list(avs)  # slot views: slicing costs as much as a step
     k = m = restarts = 0
     fresh = True  # slot 1 follows a start or restart slice: only its resid counts
-    anchor = lam = None
+    lam = None
     trace = []
     resid = np.inf
     stall = _StallDetector()
+
+    def row_norms(w):
+        return np.sqrt(weights @ (w.real**2 + w.imag**2)[..., 0])
+
+    def start(v):
+        """Put v in slot 0; return the anchor, the largest row of its w."""
+        vs[0] = _fourier_stack(v, half)
+        np.matmul(ahat, vs[0], out=avs[0])
+        return int(np.argmax(row_norms(avs[0] if sigma is None else solve(vs[0]))))
 
     def result(j, reason):
         tube = None if lam is None else Tube(np.fft.irfft(lam, n) if half else np.fft.ifft(lam))
@@ -278,61 +295,75 @@ def _power_loop(a, v0, sigma, cfg, rng):
         lam, m, fresh = lams[0], 0, False
         return None
 
+    anchor = start(v)
     while True:
-        if m == _SCORE_CHUNK or k == cfg.iter_max:
-            if stop := score():
-                return stop
+        # a step after a failing one divides by zero or NaN; it is dropped
+        with np.errstate(all="ignore"):
+            m = min(_SCORE_CHUNK, cfg.iter_max - k)  # score() left no step pending
+            for j in range(1, m + 1):
+                if sigma is not None:
+                    ws[j] = solve(vl[j - 1])
+                w = wl[j]
+                np.divide(w, w[:, anchor : anchor + 1], out=vl[j])
+                np.matmul(ahat, vl[j], out=avl[j])
+            k += m
+            taken = ws[1 : m + 1]
+            rows = row_norms(taken)
+            top = np.maximum.reduce(rows, -1)
+            mags = np.abs(taken[:, :, anchor, 0])
+            # the anchor row is kept while its norm stays above a tenth of
+            # the largest: rows of the limiting eigenslice can trade the
+            # argmax back and forth (tube norms are not multiplicative), and
+            # a bare argmax would then never let the iterates settle although
+            # their span converges; a row whose component genuinely dies out
+            # is abandoned
+            moved = rows[:, anchor] < 0.1 * top
+            failed = np.flatnonzero(moved | ~_divisor_ok(mags))
+        if len(failed):
+            s = int(failed[0])
+            k, m = k - (m - s), s
+        alphas[1 : m + 1] = taken[:m, :, anchor, 0]
+        if sigma is not None:
+            lams[1 : m + 1] = 1.0 / alphas[1 : m + 1] + sig[:, 0, 0]
+        if stop := score():
+            return stop
+        if not len(failed):
             if k == cfg.iter_max:
                 raise NoConvergence(k, resid, result=result(0, "cap"))
-        w = avs[m] if sigma is None else solve(vs[m])
-        rows = np.sqrt(weights @ (w.real**2 + w.imag**2)[:, :, 0])
-        top = rows.max()
-        # the anchor row is kept while its norm stays above a tenth of the
-        # largest: rows of the limiting eigenslice can trade the argmax back
-        # and forth (tube norms are not multiplicative), and a bare argmax
-        # would then never let the iterates settle although their span
-        # converges; a row whose component genuinely dies out is abandoned
-        if anchor is None or rows[anchor] < 0.1 * top:
-            anchor = int(np.argmax(rows))
-        alpha = w[:, anchor, 0]
+            continue
+        if moved[s]:
+            anchor = int(np.argmax(rows[s]))
+            continue
         try:
-            _check_divisor(np.abs(alpha))
+            _check_divisor(mags)  # raises for step s, the first to fail the gate
         except NearSingularTube as exc:
-            if stop := score():
-                return stop
             # a zero slice (every row norm 0, even by underflow) fails the gate
-            if top == 0.0:
+            if top[s] == 0.0:
                 raise ZeroSlice("every tube of the slice is zero") from None
             if restarts >= RESTARTS:
                 raise DivisionFailure(
                     f"scaling tube stayed near singular after {restarts} restarts"
                 ) from exc
-            restarts += 1
-            k += 1
-            fresh, anchor = True, None
-            vs[0] = _fourier_stack(random_slice_set(p, 1, n, real, rng), half)
-            np.matmul(ahat, vs[0], out=avs[0])
-            continue
-        k, m = k + 1, m + 1
-        np.divide(w, alpha[:, None, None], out=vs[m])
-        alphas[m] = alpha
-        if sigma is not None:
-            lams[m] = 1.0 / alpha + sig[:, 0, 0]
-        np.matmul(ahat, vs[m], out=avs[m])
+        restarts += 1
+        k += 1
+        fresh = True
+        anchor = start(random_slice_set(p, 1, n, real, rng))
 
 
 def t_power(a, v0=None, cfg=None, rng=None):
     """Power iteration for the eigenpair with the largest-norm eigentube.
 
-    Each step applies the tensor and rescales by the largest-norm row tube,
-    which pins that row to the unit tube; iteration stops once consecutive
-    slices move by at most ``cfg.tol`` and consecutive scaling tubes by at
-    most ``cfg.tol`` relative to their magnitude (stop reason ``"tol"``),
-    or once the stall detector reports that the iteration sits at its
-    floating point noise floor (``"stall"``). A near-singular scaling tube
-    triggers a restart with a fresh random slice, up to ``RESTARTS`` times.
-    A step is one batched matrix product on the Fourier faces; its stopping
-    norms are taken with those of up to ``_SCORE_CHUNK`` - 1 other steps.
+    Each step applies the tensor and rescales by the tube of the anchor row
+    (the largest-norm row at a start, kept while above a tenth of the
+    largest), which pins that row to the unit tube; iteration stops once
+    consecutive slices move by at most ``cfg.tol`` and consecutive scaling
+    tubes by at most ``cfg.tol`` relative to their magnitude (stop reason
+    ``"tol"``), or once the stall detector reports that the iteration sits
+    at its floating point noise floor (``"stall"``). A near-singular
+    scaling tube triggers a restart with a fresh random slice, up to
+    ``RESTARTS`` times. Steps are taken speculatively and checked, anchor
+    and gate with their stopping norms, once per ``_SCORE_CHUNK`` steps,
+    rolling back from the first that fails (see :func:`_power_loop`).
     """
     return _power_loop(a, v0, None, cfg, rng)
 
@@ -404,6 +435,10 @@ def deflated_power_sweep(a, num, cfg=None):
     variant reports each stage's own eigentube together with an eigenslice
     of the original tensor from :func:`eigenslice_for`, which raises
     :class:`NotAnEigentube` or :class:`DefectiveFace` as described there.
+    Eigentubes that meet on a Fourier face get that face's eigenslice
+    entries from the same null space, so the stacked U = [x_1 x_2 ...] can
+    be singular on that face although every pair's own residual is small;
+    a caller that inverts or orthogonalizes U must check its faces.
     A stage that hits the iteration cap raises :class:`NoConvergence`
     whose result lists the completed stages, mapped back as on success,
     then the partial pair of the capped power iteration; when the left
@@ -488,7 +523,7 @@ def t_subspace_iteration(a, num=None, x0=None, cfg=None, rng=None):
     included) moves by at most ``cfg.tol`` between steps, relative to the
     magnitude of R (stop reason ``"tol"``), or once the stall detector
     reports a noise floor (``"stall"``). ``x0``, or ``num`` random slices,
-    holds 1 to p slices.
+    holds 1 to p slices; given both, ``num`` must be the width of ``x0``.
 
     The iterate X, the product Y = A * X and R stay Fourier face stacks for
     the whole run, the leading n // 2 + 1 faces when A and X0 are real: a
@@ -516,6 +551,8 @@ def t_subspace_iteration(a, num=None, x0=None, cfg=None, rng=None):
         raise DimensionMismatch("inner", a.p, x0.l)
     if x0.p > a.p:
         raise ValueError(f"x0 must have at most {a.p} columns, got {x0.p}")
+    if num is not None and num != x0.p:
+        raise ValueError(f"num is {num} but x0 has {x0.p} columns")
     n, cols = a.n, x0.p
     half = a.is_real and x0.is_real
     ahat = _fourier_stack(a, half)

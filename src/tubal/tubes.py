@@ -135,13 +135,26 @@ def tube_mul(a, b):
     return Tube(np.fft.ifft(a.fourier_values * b.fourier_values))
 
 
+def _divisor_ok(mags):
+    """Whether a divisor passes the gate: every Fourier magnitude along the
+    last axis of ``mags`` above ``SINGULARITY_EPS * max(1, the largest)``,
+    a NaN magnitude failing. One flag per divisor of a (..., n) batch."""
+    lo = np.minimum.reduce(mags, -1)
+    # eps * max(1, top) == max(eps, eps * top): rounding is monotone
+    return (lo > SINGULARITY_EPS) & (lo > SINGULARITY_EPS * np.maximum.reduce(mags, -1))
+
+
 def _check_divisor(mags):
-    """Raise :class:`NearSingularTube` unless every Fourier magnitude in
-    ``mags`` of a divisor is above ``SINGULARITY_EPS * max(1, max(mags))``;
-    it names the smallest entry, or the first NaN entry."""
-    gate = SINGULARITY_EPS * max(1.0, float(mags.max()))
-    if not mags.min() > gate:
+    """Raise :class:`NearSingularTube` for the first divisor in ``mags``,
+    one divisor or a (..., n) batch, that fails :func:`_divisor_ok`; it
+    names that divisor's smallest entry, or its first NaN entry."""
+    ok = _divisor_ok(mags)
+    if ok.ndim:
+        i = ok.ravel().argmin()
+        ok, mags = ok.flat[i], mags.reshape(-1, mags.shape[-1])[i]
+    if not ok:
         worst = int(np.argmin(mags))
+        gate = SINGULARITY_EPS * max(1.0, float(np.maximum.reduce(mags)))
         raise NearSingularTube(worst, float(mags[worst]), gate)
 
 

@@ -240,38 +240,120 @@ def test_power_family_restarts_on_singular_scaling_tube(case, monkeypatch):
     assert isinstance(info.value.__cause__, NearSingularTube)
 
 
-def _run_bits(solve):
-    """Everything a power-family run reports, capped or not, as exact bits."""
-    try:
-        pair, capped = solve(), None
-    except NoConvergence as exc:
-        pair, capped = exc.result, exc.iterations
+def _pair_bits(pair):
     tube = None if pair.eigentube is None else pair.eigentube.spatial_values.tobytes()
     return (
-        capped, pair.iterations, pair.stop_reason, np.array(pair.residual_trace).tobytes(),
+        pair.iterations, pair.stop_reason, np.array(pair.residual_trace).tobytes(),
         np.float64(pair.residual_norm).tobytes(), tube, pair.eigenslice.data.tobytes(),
     )
 
 
-@pytest.mark.parametrize("method", ["power", "inverse_power"])
-@pytest.mark.parametrize("kind", ["tridiag", "stochastic", "complex", "realeig", "restart"])
-def test_chunked_scoring_matches_per_step_scoring(kind, method, monkeypatch):
-    # caps at, next to and across the chunk boundaries of 16 steps, and the
-    # default cap; "restart" is the n = 2 tridiag tensor whose start slice
-    # restarts the run, so its random draw must come at the same step
+def _run_bits(solve):
+    """Everything a power-family run reports, capped, failed or not, as
+    exact bits."""
+    try:
+        return None, _pair_bits(solve())
+    except NoConvergence as exc:
+        return exc.iterations, _pair_bits(exc.result)
+    except (ZeroSlice, DivisionFailure) as exc:
+        return type(exc).__name__, str(exc), str(exc.__cause__)
+
+
+def _from_faces(*faces):
+    """Real tensor whose Fourier faces are ``faces``; they must be those of
+    a real tensor (all real here, and equal when more than 2)."""
+    return Tensor3(np.fft.ifft(np.stack(faces, axis=2), axis=2).real)
+
+
+def _chunk_case(kind, method):
+    """The solver call of one chunking case, taking a config, and the caps
+    it is run at besides the common ones."""
     if kind == "restart":
-        solve = _restart_cases()[0 if method == "power" else 1][0]
+        return _restart_cases()[0 if method == "power" else 1][0], ()
+    v0, extra = None, ()
+    if kind == "anchor_move":
+        # every face diag(5, 4, 3, 2); the start's row 0 is a thousandth of
+        # the others, so power iteration anchors row 1 until step 42, inside
+        # the third chunk, then row 0
+        a = _from_faces(*[np.diag([5.0, 4.0, 3.0, 2.0])] * 3)
+        v0 = Tensor3(np.array([1e-3, 1.0, 1.0, 1.0])[:, None, None] * np.eye(1, 3)[None])
+        extra = (41, 42, 43)
+    elif kind == "nilpotent":
+        # every face the 4 x 4 shift: w = 0 at step 4, a ZeroSlice (power)
+        a = _from_faces(np.eye(4, k=1))
+        extra = (3, 4, 5)
+    elif kind == "late_restart":
+        # face 1 is the 4 x 4 shift: alpha vanishes there while face 0 does
+        # not, so power iteration restarts at steps 3, 7 and 10
+        a = _from_faces(np.diag([4.0, 3.0, 2.0, 1.0]), np.eye(4, k=1))
+        extra = (3, 4, 7, 10, 11)
     else:
         a = make_tensor(kind)
-        sigma = None if method == "power" else Tube(np.eye(1, a.n)[0] * 1e-3)
+    sigma = None if method == "power" else Tube(np.eye(1, a.n)[0] * 1e-3)
 
-        def solve(cfg):
-            return t_power(a, cfg=cfg) if sigma is None else t_inverse_power(a, sigma, cfg=cfg)
+    def solve(cfg):
+        if sigma is None:
+            return t_power(a, v0=v0, cfg=cfg)
+        return t_inverse_power(a, sigma, v0=v0, cfg=cfg)
 
-    caps = (1, 15, 16, 17, 33, 3000)
+    return solve, extra
+
+
+@pytest.mark.parametrize("method", ["power", "inverse_power"])
+@pytest.mark.parametrize(
+    "kind",
+    ["tridiag", "stochastic", "complex", "realeig", "restart", "anchor_move", "nilpotent",
+     "late_restart"],
+)
+def test_chunked_scoring_matches_per_step_scoring(kind, method, monkeypatch):
+    # steps are taken speculatively and checked per chunk; with one step per
+    # chunk each is checked as it is taken. Caps at, next to and across the
+    # chunk boundaries of 16 steps, around the step where a case's anchor
+    # moves or its gate fails, and the default cap; "restart" is the n = 2
+    # tridiag tensor whose start slice restarts the run, so its random draw
+    # must come at the same step
+    solve, extra = _chunk_case(kind, method)
+    caps = (1, 2, 15, 16, 17, 33, 3000) + extra
     chunked = [_run_bits(lambda: solve(SolverConfig(iter_max=c))) for c in caps]
     monkeypatch.setattr(solvers, "_SCORE_CHUNK", 1)
     assert [_run_bits(lambda: solve(SolverConfig(iter_max=c))) for c in caps] == chunked
+    if method == "power" and kind == "nilpotent":
+        capped = dict(zip(caps, chunked))
+        assert capped[3][0] == 3 and capped[4][0] == capped[3000][0] == "ZeroSlice"
+    if method == "power" and kind == "late_restart":
+        assert chunked[caps.index(3000)][0] == "DivisionFailure"
+
+
+def test_speculative_anchor_move_lands_on_the_dominant_row():
+    # the anchor row of the returned slice is the unit tube: row 0, though
+    # the start's largest row is row 1
+    solve, _ = _chunk_case("anchor_move", "power")
+    pair = solve(SolverConfig())
+    assert pair.converged
+    unit_row_0 = np.zeros((4, 3))
+    unit_row_0[0, 0] = 1.0
+    assert_allclose(pair.eigenslice.data[:, 0, :], unit_row_0, atol=1e-12)
+    assert_allclose(pair.eigentube.spatial_values, [5.0, 0.0, 0.0], atol=1e-12)
+
+
+def test_late_restart_counts_as_a_step():
+    # the restart replaces step 3, whose alpha failed the gate: a run capped
+    # there scores steps 1 and 2 and returns the fresh restart slice
+    solve, _ = _chunk_case("late_restart", "power")
+    with pytest.raises(NoConvergence) as info:
+        solve(SolverConfig(iter_max=3))
+    assert info.value.iterations == 3
+    assert len(info.value.result.residual_trace) == 2
+
+
+def test_chunked_scoring_matches_on_realeig_dle_sweep(monkeypatch):
+    # the t5 realeig DLE k=6 row: one of its left iterations moves the
+    # anchor inside a chunk, so a rollback error shows in its last bits
+    a = make_tensor("realeig")
+    cfg = SolverConfig(deflation_variant="DLE")
+    chunked = [_pair_bits(p) for p in deflated_power_sweep(a, 6, cfg=cfg)]
+    monkeypatch.setattr(solvers, "_SCORE_CHUNK", 1)
+    assert [_pair_bits(p) for p in deflated_power_sweep(a, 6, cfg=cfg)] == chunked
 
 
 def _schur_bits(solve):
@@ -728,6 +810,14 @@ def test_subspace_rejects_wide_start():
     # a tensor has at least one column, so only too many can be passed
     with pytest.raises(ValueError, match="x0 must have at most 10 columns"):
         t_subspace_iteration(tridiag_tensor(), x0=zeros(10, 11, 3))
+
+
+@pytest.mark.parametrize("num", [2, 11])
+def test_subspace_num_must_match_start(num, rng):
+    x0 = Tensor3(rng.standard_normal((10, 4, 3)))
+    with pytest.raises(ValueError, match=f"num is {num} but x0 has 4 columns"):
+        t_subspace_iteration(tridiag_tensor(), num=num, x0=x0)
+    assert t_subspace_iteration(tridiag_tensor(), num=4, x0=x0).u.shape == (10, 4, 3)
 
 
 def test_subspace_requires_size():

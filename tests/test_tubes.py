@@ -15,7 +15,7 @@ from tubal import (
     tube_pow,
     unit_tube,
 )
-from tubal.tubes import _check_divisor
+from tubal.tubes import _check_divisor, _divisor_ok
 
 
 def test_fft_unit_tube_is_all_ones():
@@ -110,6 +110,23 @@ def test_divisor_gate_names_first_nan_face():
     with pytest.raises(NearSingularTube) as info:
         _check_divisor(np.array([3.0, 1.0, np.nan, 0.0, np.nan]))
     assert info.value.face_index == 2
+
+
+def test_divisor_gate_on_a_batch():
+    # one flag per divisor along the last axis, each as the single-divisor
+    # gate min > 1e-13 * max(1, max) decides it, boundary values included;
+    # the error names the first failing divisor's smallest entry
+    mags = np.array([[3.0, 1.0, 2.0], [3.0, 1e-14, 2.0], [np.nan, 1.0, 1.0],
+                     [2e-13, 0.5, 0.5], [2e-13, 4.0, 1.0], [1e-13, 0.5, 1.0],
+                     [2e-13, 2.0, 1.0], [0.0, 0.0, 0.0]])
+    want = [m.min() > 1e-13 * max(1.0, m.max()) for m in mags]
+    assert _divisor_ok(mags).tolist() == want == [True] + [False] * 2 + [True] + [False] * 4
+    assert _divisor_ok(mags[:, None]).shape == (8, 1)
+    with pytest.raises(NearSingularTube) as info:
+        _check_divisor(mags)
+    assert info.value.face_index == 1 and info.value.magnitude == 1e-14
+    assert info.value.gate == 1e-13 * 3.0
+    _check_divisor(mags[[0, 3]])
 
 
 def test_norms():
