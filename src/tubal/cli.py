@@ -77,7 +77,7 @@ def _build_parser():
     run.add_argument("--table", help=f"one of {', '.join(TABLES)} or a method alias")
     run.add_argument("--tensor", help="builtin kind or tensor file")
     run.add_argument("--method", choices=METHODS)
-    run.add_argument("--tol", type=float, default=1e-15)
+    run.add_argument("--tol", type=float)
     run.add_argument("--iter-max", type=int)
     run.add_argument("--q", type=int, default=1, help="products per subspace step")
     run.add_argument("--num", type=int, default=4, help="eigenpairs to compute")
@@ -125,14 +125,15 @@ def _cmd_run(args):
     if not args.tensor or not args.method:
         raise ValueError("single runs need both --tensor and --method")
     a = _load_tensor(args.tensor, args.seed)
+    # --tol and --iter-max are passed only when given: SolverConfig holds
+    # their one copy of the defaults
+    given = {"tol": args.tol, "iter_max": args.iter_max}
     overrides = {
-        "tol": args.tol,
         "rng_seed": args.solver_seed,
         "power_index": args.q,
         "complex_shift": args.complex_shift,
+        **{key: value for key, value in given.items() if value is not None},
     }
-    if args.iter_max is not None:
-        overrides["iter_max"] = args.iter_max
     shift = _parse_shift(args.shift, a.n) if args.shift else None
     name = args.tensor if args.tensor in TENSOR_KINDS else Path(args.tensor).stem
     rep = run_method(

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NoConvergence, UnknownKind
-from .factorizations import facewise_sort_tubes, spectrum_of
+from .factorizations import facewise_sort_tubes, spectrum_of, t_inverse
 from .solvers import (
     SchurResult,
     SolverConfig,
@@ -32,7 +32,7 @@ from .solvers import (
     t_qr_shifted,
     t_subspace_iteration,
 )
-from .tensors import Tensor3, concat_lateral, f_diagonal, t_product
+from .tensors import Tensor3, concat_lateral, f_diagonal, identity, t_product
 from .tubes import Tube
 
 # ---------------------------------------------------------------------------
@@ -128,9 +128,6 @@ def make_tensor(spec):
 
 
 def _realeig_tensor(p, n, seed, base=4.0, ratio=0.55):
-    from .factorizations import t_inverse
-    from .tensors import f_diagonal as fd, identity
-
     rng = np.random.default_rng(seed)
     x = Tensor3(identity(p, n).data + 0.3 * rng.standard_normal((p, p, n)) / np.sqrt(p))
     tubes = []
@@ -143,7 +140,7 @@ def _realeig_tensor(p, n, seed, base=4.0, ratio=0.55):
             theta[n // 2] = 0.0
         vals = base * ratio**j * np.exp(1j * theta)
         tubes.append(Tube(np.fft.ifft(vals).real))
-    a = t_product(t_product(x, fd(tubes)), t_inverse(x))
+    a = t_product(t_product(x, f_diagonal(tubes)), t_inverse(x))
     return Tensor3(a.data.real)
 
 

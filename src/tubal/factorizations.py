@@ -62,14 +62,6 @@ def _first_bad_face(bad):
     return int(np.argmax(bad)) if bad.any() else None
 
 
-def _first_small_pivot(stack, pivots):
-    """First face of a square (faces, p, p) stack whose smallest LU pivot
-    magnitude ``pivots[f]`` is not above ``LU_PIVOT_RTOL`` times the face
-    norm (at least 1), or None. A NaN pivot counts as small."""
-    gates = LU_PIVOT_RTOL * np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
-    return _first_bad_face(~(pivots > gates))
-
-
 def _phase_fix(vs):
     """Rotate each row of ``vs`` so its largest entry is real positive; ties
     take the smallest index. Keeps stitched eigenvectors deterministic and
@@ -143,7 +135,9 @@ def facewise_qr(stack, mode):
     r = np.where(_strictly_lower(k, cols), 0, a[:, :k])
     d = r.diagonal(0, 1, 2)
     mag = np.abs(d)
-    phase = np.divide(d, mag, out=np.ones_like(d), where=mag > 0).astype(complex, copy=False)
+    # dividing by a subnormal magnitude overflows; such an entry keeps phase 1
+    ok = mag >= np.finfo(float).tiny
+    phase = np.divide(d, mag, out=np.ones_like(d), where=ok).astype(complex, copy=False)
     if k > phase.shape[1]:
         phase = np.concatenate([phase, np.ones((len(phase), k - phase.shape[1]))], axis=1)
     return q * phase[:, None, :], np.conj(phase)[:, :, None] * r
@@ -190,7 +184,9 @@ def t_lu(a):
     stack = _leading_faces(a)
     pm, ls, us = sla.lu(stack)
     pivots = np.abs(np.diagonal(us, axis1=1, axis2=2)).min(axis=1)
-    f = _first_small_pivot(stack, pivots)
+    # a NaN pivot counts as small
+    gates = LU_PIVOT_RTOL * np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
+    f = _first_bad_face(~(pivots > gates))
     if f is not None:
         raise SingularFace(f, f"pivot {pivots[f]:.3e}")
     # scipy returns A = pm @ L @ U, so the permutation applied to A is pm^T
@@ -506,13 +502,20 @@ def in_range(a, y, rtol=NULL_RTOL):
     return not (resid > rtol * np.maximum(1.0, ynorm)).any()
 
 
-def t_inverse(a, rtol=1e-13):
-    """Tensor inverse via facewise inversion; every Fourier face must be
-    nonsingular."""
-    _check_square(a)
-    stack = _leading_faces(a)
+def _facewise_inverse(stack, rtol=1e-13):
+    """The inverse of every face of a square (faces, p, p) stack, in one
+    batched call. Raises :class:`SingularFace` for the first face whose
+    smallest singular value is at most ``rtol`` times its largest (at
+    least 1)."""
     s = np.linalg.svd(stack, compute_uv=False)
     f = _first_bad_face(s[:, -1] <= rtol * np.maximum(1.0, s[:, 0]))
     if f is not None:
         raise SingularFace(f, f"sigma_min {s[f, -1]:.3e}")
-    return _stitch(np.linalg.inv(stack), a)
+    return np.linalg.inv(stack)
+
+
+def t_inverse(a, rtol=1e-13):
+    """Tensor inverse via facewise inversion; every Fourier face must be
+    nonsingular."""
+    _check_square(a)
+    return _stitch(_facewise_inverse(_leading_faces(a), rtol), a)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     BadPairing,
@@ -22,10 +21,11 @@ from .errors import (
     NearSingularTube,
     NoConvergence,
     ShiftCollision,
+    SingularFace,
     SingularShift,
     ZeroSlice,
 )
-from .factorizations import _first_small_pivot, eigenslice_for, facewise_qr, t_hess
+from .factorizations import _facewise_inverse, eigenslice_for, facewise_qr, t_hess
 from .tensors import (
     Tensor3,
     _check_square,
@@ -183,50 +183,34 @@ def _spatial_from_stack(stack, n, half):
     return Tensor3(np.fft.ifft(np.moveaxis(stack, 0, 2), axis=2), real=False)
 
 
-def _shifted_solver(stack):
-    """LU factor each face of a (faces, p, p) stack once; return the solve
-    of face f against face f of a (faces, p, 1) stack.
-
-    The faces go to LAPACK ``getrf`` and ``getrs`` one at a time: at the
-    paper's sizes a call per face costs far less than scipy's batched
-    ``lu_factor`` / ``lu_solve``, which loop over the faces in Python. A
-    face whose smallest pivot falls below ``LU_PIVOT_RTOL`` relative to its
-    norm raises :class:`SingularShift` naming the first such face.
-    """
-    getrf, getrs = sla.get_lapack_funcs(("getrf", "getrs"), (stack,))
-    factors = [getrf(face)[:2] for face in stack]
-    pivmags = np.array([np.abs(np.diagonal(lu)).min() for lu, _ in factors])
-    f = _first_small_pivot(stack, pivmags)
-    if f is not None:
-        raise SingularShift(f"face {f}: shifted tensor pivot {pivmags[f]:.3e}")
-    return lambda vh: np.stack([getrs(lu, piv, b)[0] for (lu, piv), b in zip(factors, vh)])
-
-
 def _power_loop(a, v0, sigma, cfg, rng):
     """The iteration shared by :func:`t_power` (``sigma`` None) and
     :func:`t_inverse_power`, with the stopping and restart rules described
     for :func:`t_power`.
 
-    Each step maps the slice v to w = A * v, or with a shift to the
-    solution of (A - sigma * I) * w = v, divides w by its anchored row tube
-    alpha, and takes alpha, or e / alpha + sigma, as the eigentube
-    estimate. A, v, w and alpha stay Fourier face stacks, the leading
-    n // 2 + 1 faces when A, sigma and the start slice are real: the row
-    norms and every stopping metric come from the stacks by Parseval, the
-    tube division is facewise, and only the returned pair is transformed
-    back. Random start and restart slices are real when A and sigma are.
+    Each step maps the slice v to w = B * v, where B is A, or with a shift
+    the inverse of A - sigma * I, divides w by its anchored row tube alpha,
+    and takes alpha, or e / alpha + sigma, as the eigentube estimate. B, v,
+    w and alpha stay Fourier face stacks, the leading n // 2 + 1 faces when
+    A, sigma and the start slice are real, and B is inverted facewise once
+    per solve: the row norms and every stopping metric come from the stacks
+    by Parseval, the tube division is facewise, and only the returned pair
+    is transformed back. Random start and restart slices are real when A
+    and sigma are.
 
     Steps are taken speculatively: up to ``_SCORE_CHUNK`` of them, each a
     division by the current anchor row and a product, fill slots 1, 2, ...
-    of w, v and A * v stacks (slot 0: the start slice or the last scored
-    step). One batched check then takes their row norms and divisor gates
-    and drops the first step whose anchor row fell below a tenth of the
-    largest, or whose alpha fails the gate, with every later step; the
-    anchor then moves and the step is retaken, or the run restarts or
-    raises. One batched Parseval reduction scores the steps that passed
-    and the stop tests are replayed in step order. Pending steps are
-    scored before a restart, a raise or the cap: the results, traces and
-    random draws are those of checking and scoring each step as taken.
+    of the v and w stacks (v slot 0: the start slice or the last scored
+    step; w slot j + 1: B * v of step j). One batched check then takes
+    their row norms and divisor gates and drops the first step whose anchor
+    row fell below a tenth of the largest, or whose alpha fails the gate,
+    with every later step; the anchor then moves and the step is retaken,
+    or the run restarts or raises. One batched Parseval reduction scores
+    the steps that passed, with one batched product for their residuals
+    against A when B is the inverse, and the stop tests are replayed in
+    step order. Pending steps are scored before a restart, a raise or the
+    cap: the results, traces and random draws are those of checking and
+    scoring each step as taken.
     """
     _check_square(a)
     cfg = cfg or SolverConfig()
@@ -239,18 +223,20 @@ def _power_loop(a, v0, sigma, cfg, rng):
         raise DimensionMismatch("shape", v.shape, (a.p, 1, a.n))
     n, p = a.n, a.p
     half = real and v.is_real
-    ahat = _fourier_stack(a, half)
+    ahat = op = _fourier_stack(a, half)
     if sigma is not None:
         sig = _fourier_stack(Tensor3(sigma.spatial_values[None, None, :]), half)
-        solve = _shifted_solver(ahat - sig * np.eye(p))
+        try:
+            op = _facewise_inverse(ahat - sig * np.eye(p))
+        except SingularFace as exc:
+            raise SingularShift(f"face {exc.face_index}: shifted tensor is singular") from exc
     weights = parseval_weights(n, len(ahat))
-    # step j divides the w in slot j; without a shift that is A * v of step j - 1
+    # step j divides the w in slot j, B * v of step j - 1
     ws = np.empty((_SCORE_CHUNK + 2, len(ahat), p, 1), complex)
     vs = np.empty_like(ws[1:])
-    avs = ws[1:] if sigma is None else np.empty_like(vs)
     alphas = np.zeros(vs.shape[:2], complex)
     lams = alphas if sigma is None else np.zeros_like(alphas)
-    wl, vl, avl = list(ws), list(vs), list(avs)  # slot views: slicing costs as much as a step
+    wl, vl = list(ws), list(vs)  # slot views: slicing costs as much as a step
     k = m = restarts = 0
     fresh = True  # slot 1 follows a start or restart slice: only its resid counts
     lam = None
@@ -264,8 +250,8 @@ def _power_loop(a, v0, sigma, cfg, rng):
     def start(v):
         """Put v in slot 0; return the anchor, the largest row of its w."""
         vs[0] = _fourier_stack(v, half)
-        np.matmul(ahat, vs[0], out=avs[0])
-        return int(np.argmax(row_norms(avs[0] if sigma is None else solve(vs[0]))))
+        np.matmul(op, vs[0], out=ws[1])
+        return int(np.argmax(row_norms(ws[1])))
 
     def result(j, reason):
         tube = None if lam is None else Tube(np.fft.irfft(lam, n) if half else np.fft.ifft(lam))
@@ -280,7 +266,8 @@ def _power_loop(a, v0, sigma, cfg, rng):
             return None
         lo, hi = slice(0, m), slice(1, m + 1)
         al = alphas[:, :, None, None]
-        norms = parseval_norms(weights, avs[hi] - vs[hi] * lams[hi, :, None, None],
+        avs = ws[2 : m + 2] if sigma is None else ahat @ vs[hi]
+        norms = parseval_norms(weights, avs - vs[hi] * lams[hi, :, None, None],
                                vs[hi] - vs[lo], al[hi] - al[lo], al[hi], vs[hi])
         for j, (resid, dv, da, anorm, vnorm) in enumerate(norms, 1):
             trace.append(resid)
@@ -291,7 +278,7 @@ def _power_loop(a, v0, sigma, cfg, rng):
             if reason or stall.converged(max(dv / max(1.0, vnorm), da / anorm)):
                 lam = lams[j]
                 return result(j, reason or "stall")
-        vs[0], avs[0], alphas[0], lams[0] = vs[m], avs[m], alphas[m], lams[m]
+        vs[0], ws[1], alphas[0], lams[0] = vs[m], ws[m + 1], alphas[m], lams[m]
         lam, m, fresh = lams[0], 0, False
         return None
 
@@ -301,11 +288,9 @@ def _power_loop(a, v0, sigma, cfg, rng):
         with np.errstate(all="ignore"):
             m = min(_SCORE_CHUNK, cfg.iter_max - k)  # score() left no step pending
             for j in range(1, m + 1):
-                if sigma is not None:
-                    ws[j] = solve(vl[j - 1])
                 w = wl[j]
                 np.divide(w, w[:, anchor : anchor + 1], out=vl[j])
-                np.matmul(ahat, vl[j], out=avl[j])
+                np.matmul(op, vl[j], out=wl[j + 1])
             k += m
             taken = ws[1 : m + 1]
             rows = row_norms(taken)
@@ -371,11 +356,14 @@ def t_power(a, v0=None, cfg=None, rng=None):
 def t_inverse_power(a, sigma, v0=None, cfg=None, rng=None):
     """Shifted inverse iteration for the eigentube closest to ``sigma``.
 
-    The Fourier faces of the shifted tensor are LU factored once (see
-    :func:`_shifted_solver`); each step solves for the next slice and
-    rescales by its largest-norm tube alpha, which converges to the inverse
-    of (lambda - sigma), so the eigentube is recovered as e / alpha + sigma.
-    It stops and restarts like :func:`t_power`.
+    This is power iteration on B = (A - sigma * I)^{-1}, whose Fourier
+    faces are inverted once per solve; each step applies B to the slice and
+    rescales by its anchored tube alpha, which converges to the inverse of
+    (lambda - sigma), so the eigentube is recovered as e / alpha + sigma.
+    It stops and restarts like :func:`t_power`, with residuals against A.
+    A face of A - sigma * I whose smallest singular value is at most 1e-13
+    times its largest (at least 1) raises :class:`SingularShift` naming
+    the first such face.
     """
     return _power_loop(a, v0, sigma, cfg, rng)
 

@@ -230,6 +230,8 @@ def test_cli_run_single(tmp_path, capsys):
     doc = json.loads((tmp_path / "stochastic_t-pm.json").read_text())
     assert doc["converged"] is True
     assert doc["res_norm"] <= 1e-12
+    # without --tol the run keeps the config's default
+    assert doc["config"]["tol"] == SolverConfig().tol
 
 
 def test_cli_run_inverse_with_shift(tmp_path):
@@ -266,10 +268,12 @@ def test_cli_nonconvergence_exit_code(tmp_path):
 def test_cli_usage_errors(tmp_path, capsys):
     assert main(["run", "--tensor", "tridiag"]) == 1  # missing method
     assert main(["run", "--tensor", "tridiag", "--method", "t-sipm", "--out", str(tmp_path)]) == 1
-    # an explicit cap of 0 is passed on and rejected, not replaced by the default
+    # an explicit cap or tolerance of 0 is passed on and rejected, not
+    # replaced by the default
     for method in ("t-pm", "t-qrhs"):
-        args = ["run", "--tensor", "tridiag", "--method", method, "--iter-max", "0"]
-        assert main(args + ["--out", str(tmp_path)]) == 1
+        for flag in ("--iter-max", "--tol"):
+            args = ["run", "--tensor", "tridiag", "--method", method, flag, "0"]
+            assert main(args + ["--out", str(tmp_path)]) == 1
     assert main(["gen", "--tensor", "stochastic", "--dims", "3,3", "--out", "x.t3b"]) == 1
     assert main(["spectrum", "--tensor", "missing.t3b", "--out", "s.csv"]) == 1
 

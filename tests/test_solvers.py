@@ -1,6 +1,7 @@
+import warnings
+
 import numpy as np
 import pytest
-import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
 from conftest import f_hermitian_tensor, random_tensor, tridiag_tensor
@@ -507,22 +508,21 @@ def test_power_anchor_row_by_spatial_norm():
     assert_allclose(info.value.result.eigentube.spatial_values, data[1, 0], atol=1e-15)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 @pytest.mark.parametrize("real", [True, False], ids=["half", "full"])
 @pytest.mark.parametrize("n", [4, 5, 8])
 def test_singular_shift_names_first_bad_face(rng, n, real):
     # shift a real f-diagonal tensor onto its leading eigentube on faces 1
     # and n - 1 only, so those two faces of A - sigma * I are singular; a
-    # complex shift makes the run factor every face
+    # complex shift makes the run invert every face
     a, tubes = well_separated_f_diagonal(rng, 3, n)
     offset = np.full(n, 0.05) if real else np.full(n, 0.05 + 0.05j)
     offset[[1, n - 1]] = 0.0
     vals = np.fft.ifft(tubes[0].fourier_values + offset)
     sigma = Tube(vals.real if real else vals)
     faces = a.fourier_faces() - sigma.fourier_values[:, None, None] * np.eye(3)
-    pivots = np.array([np.abs(np.diag(sla.lu_factor(m)[0])).min() for m in faces])
-    gates = factorizations.LU_PIVOT_RTOL * np.maximum(1.0, np.linalg.norm(faces, axis=(1, 2)))
-    first = int(np.argmax(pivots <= gates))
+    # the solver's gate: sigma_min at most 1e-13 times sigma_max (at least 1)
+    s = np.linalg.svd(faces, compute_uv=False)
+    first = int(np.argmax(s[:, -1] <= 1e-13 * np.maximum(1.0, s[:, 0])))
     assert first == 1
     with pytest.raises(SingularShift, match=f"^face {first}:"):
         t_inverse_power(a, sigma, cfg=SolverConfig(rng_seed=0))
@@ -960,6 +960,19 @@ def test_qr_shifted_random_complex(rng, n):
     got = facewise_sort_tubes(res.diag_tubes())
     exact = spectrum_of(a).eigentubes
     assert spectral_distance(got, exact) <= 1e-12 * scale
+
+
+def test_qr_shifted_random_real_past_a_subnormal_diagonal():
+    # face 1's last active R diagonal underflows to a subnormal (about
+    # 2e-315), whose phase must not be taken: the division overflows and
+    # turns the run NaN
+    a = Tensor3(np.random.default_rng(0).standard_normal((4, 4, 6)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = t_qr_shifted(a)
+    assert res.converged and res.stop_reason == "tol"
+    resid = (t_product(a, res.u) - t_product(res.u, res.r)).frob_norm()
+    assert resid <= 1e-12 * a.frob_norm()
 
 
 def test_qr_shifted_stall_raises_with_partial_result():
