@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NoConvergence, UnknownKind
-from .factorizations import facewise_sort_tubes, spectrum_of, t_inverse
+from .factorizations import _facewise_inverse, _mirror, facewise_sort_tubes, spectrum_of
 from .solvers import (
     SchurResult,
     SolverConfig,
@@ -140,7 +140,10 @@ def _realeig_tensor(p, n, seed, base=4.0, ratio=0.55):
             theta[n // 2] = 0.0
         vals = base * ratio**j * np.exp(1j * theta)
         tubes.append(Tube(np.fft.ifft(vals).real))
-    a = t_product(t_product(x, f_diagonal(tubes)), t_inverse(x))
+    # X^-1 from mirrored fft faces, not t_inverse's rfft: keeps the bytes
+    inv = _facewise_inverse(x.fourier_faces()[: n // 2 + 1])
+    x_inv = Tensor3.from_fourier_faces(_mirror(inv, n), real=True)
+    a = t_product(t_product(x, f_diagonal(tubes)), x_inv)
     return Tensor3(a.data.real)
 
 
@@ -240,7 +243,9 @@ def run_method(a, tensor_name, method, cfg=None, num=4, shift=None):
     its partial result: spectral error (for ``t-sipm`` the distance to the
     eigentube closest to the shift) and :func:`block_residual` for
     eigenpairs, :func:`schur_residual` for Schur pairs. A power run in
-    which no step recovered an eigentube scores None.
+    which no step recovered an eigentube scores None. The iterations of a
+    DLE run count only the right power iterations of its stages; the left
+    iterations on A^H, about as many again, are not counted.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")

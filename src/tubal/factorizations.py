@@ -1,9 +1,13 @@
 """Tensor factorizations computed facewise in the Fourier domain.
 
 Each factorization applies the corresponding dense matrix routine to every
-Fourier face and transforms the stitched factors back. For real tensors
-only the first floor(n/2) + 1 faces are factored; the remaining faces are
-their conjugates, so the spatial factors come out exactly real.
+face of the stack from :func:`~tubal.tensors._face_stack` and transforms
+the factors back with :func:`~tubal.tensors._from_face_stack`. For real
+tensors that stack holds only the leading n // 2 + 1 faces (``rfft``); the
+rest are their conjugates, so the spatial factors come out exactly real,
+and per-face values that become tubes are mirrored to all n faces.
+:func:`eigenslice_for`, :func:`t_null_basis` and :func:`in_range` take all
+n faces: they gate and phase-fix each face's vectors before stitching.
 """
 
 from __future__ import annotations
@@ -21,7 +25,10 @@ from .errors import (
     NotAnEigentube,
     SingularFace,
 )
-from .tensors import Tensor3, _check_square, identity, slice_normalize, tensor_tube_mul
+from .tensors import (
+    Tensor3, _check_square, _face_stack, _from_face_stack, identity, slice_normalize,
+    tensor_tube_mul,
+)
 from .tubes import Tube, conjugate_even
 
 #: Relative window within which face eigenvalue magnitudes count as tied.
@@ -34,27 +41,20 @@ NULL_RTOL = 1e-10
 LU_PIVOT_RTOL = 1e-13
 
 
-def _leading_faces(a, stack=None):
-    """Fourier faces of ``a`` as an (faces, l, p) stack: all n of them, or
-    for a real tensor the leading floor(n/2) + 1 that determine the rest.
-    ``stack`` is ``a.fourier_faces()`` when the caller has it already."""
-    stack = a.fourier_faces() if stack is None else stack
-    return stack[: a.n // 2 + 1] if a.is_real else stack
-
-
-def _mirror(stack, n):
-    """The full n-entry stack from a leading-faces stack (axis 0): entry
-    f >= half is the conjugate of entry n - f. A full stack passes through."""
-    half = len(stack)
-    if half == n:
-        return stack
-    return np.concatenate([stack, np.conj(stack[n - half : 0 : -1])])
-
-
 def _stitch(stack, a):
     """The spatial tensor whose Fourier faces are ``stack``, a
-    :func:`_leading_faces`-shaped result computed from ``a``."""
-    return Tensor3.from_fourier_faces(_mirror(stack, a.n), real=a.is_real)
+    :func:`_face_stack`-shaped result computed from ``a``."""
+    return Tensor3(_from_face_stack(stack, a.n, a.is_real))
+
+
+def _mirror(values, n):
+    """All n entries (axis 0) of per-face values computed on leading faces:
+    entry f >= half is the conjugate of entry n - f. A full set passes
+    through."""
+    half = len(values)
+    if half == n:
+        return values
+    return np.concatenate([values, np.conj(values[n - half : 0 : -1])])
 
 
 def _first_bad_face(bad):
@@ -151,7 +151,7 @@ def t_qr(a, mode="complete"):
     are factored by :func:`facewise_qr`, so the diagonal of R is real
     nonnegative.
     """
-    qs, rs = facewise_qr(_leading_faces(a), mode)
+    qs, rs = facewise_qr(_face_stack(a, a.is_real), mode)
     return TQrResult(_stitch(qs, a), _stitch(rs, a))
 
 
@@ -181,7 +181,7 @@ def t_lu(a):
     ``LU_PIVOT_RTOL`` times the face norm.
     """
     _check_square(a)
-    stack = _leading_faces(a)
+    stack = _face_stack(a, a.is_real)
     pm, ls, us = sla.lu(stack)
     pivots = np.abs(np.diagonal(us, axis1=1, axis2=2)).min(axis=1)
     # a NaN pivot counts as small
@@ -212,7 +212,7 @@ def t_hess(a):
     similarity."""
     _check_square(a)
     # one call per face: a batched hessenberg is slower than this loop
-    hs, ws = zip(*(sla.hessenberg(m, calc_q=True) for m in _leading_faces(a)))
+    hs, ws = zip(*(sla.hessenberg(m, calc_q=True) for m in _face_stack(a, a.is_real)))
     return THessResult(_stitch(np.array(ws), a), _stitch(np.array(hs), a))
 
 
@@ -236,7 +236,7 @@ class TSvdResult:
 
 
 def t_svd(a):
-    stack = _leading_faces(a)
+    stack = _face_stack(a, a.is_real)
     us, sv, vhs = np.linalg.svd(stack)
     k = sv.shape[1]
     ss = np.zeros(stack.shape, dtype=np.complex128)
@@ -254,7 +254,7 @@ def t_svd(a):
 def t_det(a):
     """Determinant tube: Fourier entry i is det of Fourier face i."""
     _check_square(a)
-    dets = _mirror(np.linalg.det(_leading_faces(a)), a.n)
+    dets = _mirror(np.linalg.det(_face_stack(a, a.is_real)), a.n)
     return _maybe_real_tubes(dets[:, None])[0]
 
 
@@ -328,7 +328,10 @@ class EigentubeSpectrum:
 
     ``face_values[f, j]`` is the j-th largest eigenvalue of Fourier face f;
     eigentube j is the inverse transform of column j. Multiplicity queries
-    are evaluated facewise and take the minimum over faces.
+    are evaluated facewise and take the minimum over faces. For a real
+    tensor ``faces`` holds the leading faces, mirrored to all n for a
+    query: the sort can leave a conjugate face's column j other than the
+    conjugate of column j, e.g. where a conjugate pair ties on one face.
     """
 
     def __init__(self, eigentubes, face_values, faces):
@@ -341,8 +344,8 @@ class EigentubeSpectrum:
         return self.face_values.shape[1]
 
     def _shifted_faces(self, j):
-        lam = self.face_values[:, j]
-        return self._faces - lam[:, None, None] * np.eye(self.p)
+        faces = _mirror(self._faces, len(self.face_values))
+        return faces - self.face_values[:, j, None, None] * np.eye(self.p)
 
     def algebraic_f_multiplicity(self, j, rtol=1e-8):
         vals = self.face_values
@@ -379,15 +382,17 @@ def _nullity(m, rtol):
 def spectrum_of(a):
     """Eigentubes of a square tensor from the eigenvalues of its faces.
 
-    A is transformed once; its leading faces that are Hermitian within 1e-13
-    of their norm go to one batched ``eigvalsh`` call, the rest to one
-    batched ``eigvals`` call. All n faces are sorted by descending magnitude,
+    A is transformed once (the leading faces for a real tensor, see
+    :func:`~tubal.tensors._face_stack`). The faces that are Hermitian
+    within 1e-13 of their norm go to one batched ``eigvalsh`` call, the
+    rest to one batched ``eigvals`` call, and the eigenvalues are mirrored
+    to all n faces. Each face is sorted by descending magnitude,
     ties within ``TIE_RTOL`` by descending real, then imaginary part (see
     :func:`_sort_face_eigs`). Eigentube j is the inverse transform of column j.
     """
     _check_square(a)
-    faces = a.fourier_faces()
-    raw = _mirror(_face_eigvals(_leading_faces(a, faces)), a.n)
+    faces = _face_stack(a, a.is_real)
+    raw = _mirror(_face_eigvals(faces), a.n)
     face_values = _sort_face_eigs(raw)
     return EigentubeSpectrum(_maybe_real_tubes(face_values), face_values, faces)
 
@@ -458,7 +463,7 @@ def real_t_schur(a):
         t, z = sla.schur(m, output="complex")
         return z.conj().T, t
 
-    qs, rs = zip(*(schur_face(f, m) for f, m in enumerate(_leading_faces(a))))
+    qs, rs = zip(*(schur_face(f, m) for f, m in enumerate(_face_stack(a, a.is_real))))
     return (
         _stitch(np.array(qs, dtype=np.complex128), a),
         _stitch(np.array(rs, dtype=np.complex128), a),
@@ -494,7 +499,7 @@ def in_range(a, y, rtol=NULL_RTOL):
     if a.l != y.l or a.n != y.n:
         raise DimensionMismatch("rows", (a.l, a.n), (y.l, y.n))
     u, s, _ = np.linalg.svd(a.fourier_faces(), full_matrices=False)
-    ys = np.fft.fft(y.data[:, 0, :], axis=1).T[:, :, None]  # (n, l, 1)
+    ys = y.fourier_faces()  # (n, l, 1)
     keep = s > rtol * s.max(axis=1, keepdims=True)  # the facewise range
     uh_y = keep[:, :, None] * (np.conj(np.swapaxes(u, 1, 2)) @ ys)
     resid = np.linalg.norm((ys - u @ uh_y)[:, :, 0], axis=1)
@@ -518,4 +523,4 @@ def t_inverse(a, rtol=1e-13):
     """Tensor inverse via facewise inversion; every Fourier face must be
     nonsingular."""
     _check_square(a)
-    return _stitch(_facewise_inverse(_leading_faces(a), rtol), a)
+    return _stitch(_facewise_inverse(_face_stack(a, a.is_real), rtol), a)

@@ -29,6 +29,8 @@ from .factorizations import _facewise_inverse, eigenslice_for, facewise_qr, t_he
 from .tensors import (
     Tensor3,
     _check_square,
+    _face_stack,
+    _from_face_stack,
     conj_transpose,
     parseval_norms,
     parseval_weights,
@@ -168,21 +170,6 @@ def t_max(x):
 # power iteration and shifted inverse iteration
 
 
-def _fourier_stack(t, half):
-    """Fourier faces of ``t`` as a contiguous (faces, l, p) stack; with
-    ``half`` (real tensors) only the leading n // 2 + 1 faces."""
-    if half:
-        return np.ascontiguousarray(np.moveaxis(np.fft.rfft(t.data.real, axis=2), 2, 0))
-    return np.ascontiguousarray(t.fourier_faces())
-
-
-def _spatial_from_stack(stack, n, half):
-    """Inverse of :func:`_fourier_stack`."""
-    if half:
-        return Tensor3(np.fft.irfft(np.moveaxis(stack, 0, 2), n=n, axis=2))
-    return Tensor3(np.fft.ifft(np.moveaxis(stack, 0, 2), axis=2), real=False)
-
-
 def _power_loop(a, v0, sigma, cfg, rng):
     """The iteration shared by :func:`t_power` (``sigma`` None) and
     :func:`t_inverse_power`, with the stopping and restart rules described
@@ -223,9 +210,9 @@ def _power_loop(a, v0, sigma, cfg, rng):
         raise DimensionMismatch("shape", v.shape, (a.p, 1, a.n))
     n, p = a.n, a.p
     half = real and v.is_real
-    ahat = op = _fourier_stack(a, half)
+    ahat = op = _face_stack(a, half)
     if sigma is not None:
-        sig = _fourier_stack(Tensor3(sigma.spatial_values[None, None, :]), half)
+        sig = _face_stack(Tensor3(sigma.spatial_values[None, None, :]), half)
         try:
             op = _facewise_inverse(ahat - sig * np.eye(p))
         except SingularFace as exc:
@@ -249,13 +236,13 @@ def _power_loop(a, v0, sigma, cfg, rng):
 
     def start(v):
         """Put v in slot 0; return the anchor, the largest row of its w."""
-        vs[0] = _fourier_stack(v, half)
+        vs[0] = _face_stack(v, half)
         np.matmul(op, vs[0], out=ws[1])
         return int(np.argmax(row_norms(ws[1])))
 
     def result(j, reason):
-        tube = None if lam is None else Tube(np.fft.irfft(lam, n) if half else np.fft.ifft(lam))
-        v = _spatial_from_stack(vs[j], n, half)
+        tube = None if lam is None else Tube(_from_face_stack(lam[:, None, None], n, half)[0, 0])
+        v = Tensor3(_from_face_stack(vs[j], n, half), real=half)
         return EigenPair(tube, v, resid, k - m + j, reason != "cap", reason, trace)
 
     def score():
@@ -543,14 +530,14 @@ def t_subspace_iteration(a, num=None, x0=None, cfg=None, rng=None):
         raise ValueError(f"num is {num} but x0 has {x0.p} columns")
     n, cols = a.n, x0.p
     half = a.is_real and x0.is_real
-    ahat = _fourier_stack(a, half)
+    ahat = _face_stack(a, half)
     weights = parseval_weights(n, len(ahat))
     lower = np.tri(cols, dtype=bool)
     qs = np.empty((_SCORE_CHUNK + 1, len(ahat), a.p, cols), complex)
     ys = np.empty_like(qs)
     # slot 0's R is read (and its change discarded) before any step fills it
     rs = np.zeros((_SCORE_CHUNK + 1, len(ahat), cols, cols), complex)
-    np.matmul(ahat, _fourier_stack(x0, half), out=ys[0])
+    np.matmul(ahat, _face_stack(x0, half), out=ys[0])
     k = m = 0
     fresh = True  # slot 1 is the first step: only its residual counts
     err_trace = []
@@ -559,8 +546,7 @@ def t_subspace_iteration(a, num=None, x0=None, cfg=None, rng=None):
     stall = _StallDetector()
 
     def result(j, reason):
-        u = _spatial_from_stack(qs[j], n, half)
-        rr = _spatial_from_stack(rs[j], n, half)
+        u, rr = (Tensor3(_from_face_stack(x[j], n, half), real=half) for x in (qs, rs))
         return SchurResult(u, rr, k - m + j, reason != "cap", reason, err_trace, resid_trace)
 
     def score():
@@ -630,7 +616,7 @@ def t_qr_unshifted(a, cfg=None, keep_history=False):
     _check_square(a)
     cfg = cfg or SolverConfig()
     n, half = a.n, a.is_real
-    a_k = _fourier_stack(a, half)
+    a_k = _face_stack(a, half)
     weights = parseval_weights(n, len(a_k))
     q_acc = r_acc = np.broadcast_to(np.eye(a.p), a_k.shape)
     history = []
@@ -639,7 +625,7 @@ def t_qr_unshifted(a, cfg=None, keep_history=False):
     err = np.inf
 
     def spatial(stack):
-        return _spatial_from_stack(stack, n, half)
+        return Tensor3(_from_face_stack(stack, n, half), real=half)
 
     def result(reason):
         res = SchurResult(spatial(q_acc), spatial(a_k), k, reason == "tol", reason, err_trace, [])

@@ -36,12 +36,8 @@ _DIMS = struct.Struct("<QQQB")
 
 def _payload(t):
     """Dims, flag, and entry bytes in the on-disk order."""
-    entries = np.ascontiguousarray(np.moveaxis(t.data, 2, 0))  # (n, l, p)
-    interleaved = np.empty(entries.shape + (2,), dtype="<f8")
-    interleaved[..., 0] = entries.real
-    interleaved[..., 1] = entries.imag
-    body = _DIMS.pack(t.l, t.p, t.n, 1 if t.is_real else 0) + interleaved.tobytes()
-    return body
+    entries = np.moveaxis(t.data, 2, 0).astype("<c16", copy=False)  # (n, l, p)
+    return _DIMS.pack(t.l, t.p, t.n, 1 if t.is_real else 0) + entries.tobytes()
 
 
 def _dims(record):
@@ -61,14 +57,14 @@ def _parse(body):
         raise MalformedFile(
             f"payload size {len(body)} does not match dimensions {(l, p, n)}"
         )
-    raw = np.frombuffer(body, dtype="<f8", offset=_DIMS.size)
-    raw = raw.reshape(n, l, p, 2)
-    data = np.moveaxis(raw[..., 0] + 1j * raw[..., 1], 0, 2)
+    # the entries are read as they are stored, every bit kept
+    raw = np.frombuffer(body, dtype="<c16", offset=_DIMS.size).reshape(n, l, p)
+    data = np.moveaxis(raw, 0, 2)
     if flag not in (0, 1):
         raise MalformedFile(f"unknown reality flag {flag}")
     if flag == 1 and np.any(data.imag):
         raise MalformedFile("reality flag set but entries carry imaginary parts")
-    return Tensor3(data.real if flag == 1 else data, real=bool(flag))
+    return Tensor3(data, real=bool(flag))
 
 
 def write_t3b(t, path):

@@ -3,7 +3,8 @@
 A :class:`Tensor3` holds an l x p x n complex array indexed (row, column,
 tube entry). Frontal faces are the l x p matrices at fixed third index;
 their images under the mode-3 DFT are the "Fourier faces" on which every
-facewise algorithm operates. The t-product of two tensors is the tensor
+facewise algorithm operates, stacked by :func:`_face_stack` and mapped back
+by :func:`_from_face_stack`. The t-product of two tensors is the tensor
 whose Fourier faces are the matrix products of the operands' Fourier
 faces; it coincides with fold(bcirc(A) @ unfold(B)), and that
 block-circulant route is kept here as a reference oracle since the
@@ -82,17 +83,15 @@ class Tensor3:
         return Tensor3(self._data[:, j : j + 1, :], real=self._real)
 
     def fourier_faces(self):
-        """Fourier faces stacked as an (n, l, p) array."""
-        return np.moveaxis(np.fft.fft(self._data, axis=2), 2, 0)
+        """All n Fourier faces stacked as an (n, l, p) array."""
+        return _face_stack(self, False)
 
     @classmethod
     def from_fourier_faces(cls, stack, real=False):
         """Inverse of :meth:`fourier_faces`; ``real=True`` drops the
         roundoff imaginary residue a conjugate-even stack leaves behind."""
-        data = np.fft.ifft(np.moveaxis(np.asarray(stack), 0, 2), axis=2)
-        if real:
-            data = data.real
-        return cls(data)
+        data = _from_face_stack(np.asarray(stack), len(stack), False)
+        return cls(data.real if real else data)
 
     def frob_norm(self):
         return float(np.linalg.norm(self._data))
@@ -149,9 +148,8 @@ class Tensor3:
         _check_square(self)
         if k == 0:
             return identity(self.p, self.n)
-        stack = self.fourier_faces()
-        out = np.stack([np.linalg.matrix_power(f, k) for f in stack])
-        return Tensor3.from_fourier_faces(out, real=self._real)
+        out = np.linalg.matrix_power(_face_stack(self, self._real), k)
+        return Tensor3(_from_face_stack(out, self.n, self._real))
 
     def __repr__(self):
         tag = "real" if self._real else "complex"
@@ -213,6 +211,25 @@ def concat_lateral(slices):
 
 # ---------------------------------------------------------------------------
 # transforms and norms
+
+
+def _face_stack(t, half):
+    """Fourier faces of ``t`` as a contiguous (faces, l, p) stack: all n of
+    them, or with ``half`` (a real tensor) the leading n // 2 + 1 by the
+    real-input transform; the other faces are their conjugates."""
+    stack = np.empty((t.n // 2 + 1 if half else t.n, t.l, t.p), complex)
+    fft, data = (np.fft.rfft, t.data.real) if half else (np.fft.fft, t.data)
+    # written through a transposed view: the bits of a transform along
+    # axis 2 and a copy, without the copy
+    fft(data, axis=2, out=stack.transpose(1, 2, 0))
+    return stack
+
+
+def _from_face_stack(stack, n, half):
+    """The spatial (l, p, n) array whose Fourier faces are ``stack``, an
+    inverse of :func:`_face_stack`; with ``half`` exactly real."""
+    data = stack.transpose(1, 2, 0)
+    return np.fft.irfft(data, n=n, axis=2) if half else np.fft.ifft(data, axis=2)
 
 
 def fft3(a):
@@ -346,14 +363,9 @@ def t_product(a, b):
     result is exactly real.
     """
     _check_product_dims(a, b)
-    if a.is_real and b.is_real:
-        fa = np.moveaxis(np.fft.rfft(a.data.real, axis=2), 2, 0)
-        fb = np.moveaxis(np.fft.rfft(b.data.real, axis=2), 2, 0)
-        fc = fa @ fb
-        data = np.fft.irfft(np.moveaxis(fc, 0, 2), n=a.n, axis=2)
-        return Tensor3(data)
-    fc = a.fourier_faces() @ b.fourier_faces()
-    return Tensor3.from_fourier_faces(fc)
+    half = a.is_real and b.is_real
+    fc = _face_stack(a, half) @ _face_stack(b, half)
+    return Tensor3(_from_face_stack(fc, a.n, half))
 
 
 def conj_transpose(a):
@@ -373,14 +385,9 @@ def tensor_tube_mul(a, b):
         raise TypeError("expected a Tube")
     if a.n != b.n:
         raise DimensionMismatch("tubes", a.n, b.n)
-    if a.is_real and b.is_real:
-        fa = np.fft.rfft(a.data.real, axis=2)
-        bh = np.fft.rfft(b.spatial_values.real)
-        data = np.fft.irfft(fa * bh, n=a.n, axis=2)
-        return Tensor3(data)
-    fa = np.fft.fft(a.data, axis=2)
-    data = np.fft.ifft(fa * b.fourier_values, axis=2)
-    return Tensor3(data)
+    half = a.is_real and b.is_real
+    bh = _face_stack(Tensor3(b.spatial_values[None, None, :]), half)
+    return Tensor3(_from_face_stack(_face_stack(a, half) * bh, a.n, half))
 
 
 def tensor_tube_div(a, b):
@@ -464,7 +471,5 @@ def f_tril(a, strict=False):
 
     ``strict=True`` drops the diagonal as well.
     """
-    stack = a.fourier_faces()
-    k = -1 if strict else 0
-    mask = np.tril(np.ones((a.l, a.p)), k=k)
-    return Tensor3.from_fourier_faces(stack * mask, real=a.is_real)
+    mask = np.tril(np.ones((a.l, a.p)), k=-1 if strict else 0)
+    return Tensor3(_from_face_stack(_face_stack(a, a.is_real) * mask, a.n, a.is_real))

@@ -42,6 +42,7 @@ from tubal import (
 )
 from tubal.experiments import STOCHASTIC_FACES, TestTensorSpec, make_tensor
 from tubal.factorizations import _maybe_real_tubes, _sort_face_eigs
+from tubal.tensors import _face_stack, _from_face_stack
 from tubal.tubes import conjugate_even
 
 
@@ -80,17 +81,22 @@ def test_qr_reduced(rng):
 
 
 def _per_face(a, face_fn):
-    """Reference facewise kernel: ``face_fn`` on each leading Fourier face
-    (all n faces, or n // 2 + 1 for a real tensor), the remaining faces
-    mirrored one by one as conjugates. Returns one (n, ...) array per output
-    of ``face_fn``."""
+    """Reference facewise kernel: ``face_fn`` on each face of the library's
+    Fourier stack (all n faces, or the leading n // 2 + 1 for a real
+    tensor), the remaining faces mirrored one by one as conjugates. Returns
+    one (n, ...) array per output of ``face_fn``."""
     n = a.n
-    half = n // 2 + 1 if a.is_real else n
-    stack = a.fourier_faces()
-    out = [face_fn(stack[f]) for f in range(half)]
-    for f in range(half, n):
+    out = [face_fn(face) for face in _face_stack(a, a.is_real)]
+    for f in range(len(out), n):
         out.append(tuple(np.conj(x) for x in out[n - f]))
     return [np.array(col) for col in zip(*out)]
+
+
+def _spatial(stack, real):
+    """The tensor whose n Fourier faces are ``stack``, transformed back by
+    the library's inverse from the faces it factors."""
+    n = len(stack)
+    return Tensor3(_from_face_stack(stack[: n // 2 + 1] if real else stack, n, real))
 
 
 def _qr_face(m, mode):
@@ -108,11 +114,7 @@ def _qr_face(m, mode):
 def _qr_reference(a, mode):
     """Per-face t-QR through :func:`_per_face`."""
     qs, rs = _per_face(a, lambda m: _qr_face(m, mode))
-    real = a.is_real
-    return (
-        Tensor3.from_fourier_faces(qs, real=real),
-        Tensor3.from_fourier_faces(rs, real=real),
-    )
+    return _spatial(qs, a.is_real), _spatial(rs, a.is_real)
 
 
 @pytest.mark.parametrize("mode", ["complete", "reduced"])
@@ -238,10 +240,8 @@ def _svd_face(m):
 def _square_reference(a):
     """Every square factorization of ``a`` through :func:`_per_face`, as
     (name, computed, reference) triples."""
-    real = a.is_real
-
     def spatial(stack):
-        return Tensor3.from_fourier_faces(stack, real=real)
+        return _spatial(stack, a.is_real)
 
     lu = t_lu(a)
     ps, ls, us, perm = _per_face(a, _lu_face)
@@ -293,7 +293,7 @@ def test_svd_matches_per_face_loop_bitwise(rng, n, real, shape):
     res = t_svd(a)
     us, ss, vs = _per_face(a, _svd_face)
     for got, want in zip((res.u, res.s, res.v), (us, ss, vs)):
-        _assert_same(got, Tensor3.from_fourier_faces(want, real=real))
+        _assert_same(got, _spatial(want, real))
     tubes = [_tube_from_fourier(ss[:, i, i]) for i in range(min(shape))]
     assert len(res.singular_tubes) == len(tubes)
     for got, want in zip(res.singular_tubes, tubes):
@@ -631,6 +631,19 @@ def test_multiplicity_takes_minimum_over_faces():
     assert spec.algebraic_f_multiplicity(0) == 1
     assert spec.geometric_f_multiplicity(0) == 1
     assert spec.index_of(0) == 1
+
+
+def test_multiplicity_counts_mirrored_faces():
+    # a real tensor whose face 1 holds the conjugate pair (l, l, conj l):
+    # sorted by imaginary part, eigentube 0 takes l on face 1 and on face
+    # 2 = conj(face 1) alike, where l has one eigenvector, not two
+    lam = 1 + 1j
+    faces = [np.eye(3), np.diag([lam, lam, np.conj(lam)]), np.diag([np.conj(lam)] * 2 + [lam])]
+    a = Tensor3.from_fourier_faces(np.array(faces), real=True)
+    spec = spectrum_of(a)
+    assert a.is_real
+    assert_allclose(spec.face_values[:, 0], [1, lam, lam], atol=1e-12)
+    assert spec.algebraic_f_multiplicity(0) == spec.geometric_f_multiplicity(0) == 1
 
 
 def test_facewise_sort_tubes_realigns(rng):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_tensor
-from tubal import MalformedFile, read_tensor, write_tensor
+from tubal import MalformedFile, Tensor3, read_tensor, write_tensor
 from tubal.experiments import TestTensorSpec, make_tensor
 from tubal.tensorio import read_json, read_t3b, write_json, write_t3b
 
@@ -32,6 +32,31 @@ def test_json_roundtrip(tmp_path, rng):
     back = read_json(path)
     assert np.array_equal(back.data, a.data)
     assert back.is_real
+
+
+@pytest.mark.parametrize("suffix", [".t3b", ".json"])
+@pytest.mark.parametrize("real", [True, False])
+def test_roundtrip_keeps_every_bit(tmp_path, suffix, real):
+    # signed zeros, infinities beside finite parts, NaN payloads and
+    # subnormals: a read that rebuilds re + 1j * im turns 1 + inf j into
+    # NaN + inf j and -0.0 + 0j into +0.0
+    tiny = np.float64(5e-324)
+    payload_nan = np.array(0x7FF8_0000_0000_1234, dtype=np.uint64).view(np.float64)
+    entries = np.array([-0.0, 0.0, 1.0, -np.inf, np.inf, tiny, -tiny, payload_nan])
+    data = np.zeros(8, dtype=np.complex128)
+    data.real = entries
+    if not real:
+        data.imag = np.roll(entries, 3)
+    a = Tensor3(data.reshape(2, 2, 2), real=real)
+    path = tmp_path / f"a{suffix}"
+    write_tensor(a, path)
+    back = read_tensor(path)
+    assert back.is_real == real
+
+    def bits(t):
+        return np.ascontiguousarray(t.data).view(np.uint64)
+
+    assert np.array_equal(bits(back), bits(a))
 
 
 def test_cross_format_equality(tmp_path, rng):

@@ -12,6 +12,7 @@ from tubal import (
     canonical_slice,
     conj_transpose,
     f_diagonal,
+    f_tril,
     fft3,
     fold,
     identity,
@@ -28,6 +29,7 @@ from tubal import (
     unfold,
     unit_tube,
 )
+from tubal.tensors import _face_stack, _from_face_stack
 
 
 def test_constructor_validates_reality():
@@ -141,6 +143,50 @@ def test_t_product_matches_reference(rng):
             want = t_product_reference(a, b)
             err = (got - want).frob_norm() / max(1.0, want.frob_norm())
             assert err <= 1e-10
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("real", [True, False])
+def test_face_stack_pair(rng, n, real):
+    a = random_tensor(rng, 3, 2, n, real=real)
+    full = a.fourier_faces()
+    for half in (True, False) if real else (False,):
+        stack = _face_stack(a, half)
+        faces = n // 2 + 1 if half else n
+        assert stack.shape == (faces, 3, 2) and stack.flags.c_contiguous
+        want = full[:faces]
+        assert np.abs(stack - want).max() <= 1e-14 * np.abs(want).max()
+        back = _from_face_stack(stack, n, half)
+        assert back.shape == a.shape
+        if half:
+            assert back.dtype == np.float64
+        assert np.abs(back - a.data).max() <= 1e-14 * np.abs(a.data).max()
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_real_half_spectrum_ops_match_bcirc(rng, n):
+    # above n = 5 the real-input transform and the leading faces of the full
+    # one differ in their last bits: check each half-spectrum route against
+    # the block-circulant definition
+    a = random_tensor(rng, 4, 3, n, real=True)
+    b = random_tensor(rng, 3, 5, n, real=True)
+    sq = random_tensor(rng, 3, 3, n, real=True)
+    tube = Tube(rng.standard_normal(n))
+    cases = [
+        (t_product(a, b), t_product_reference(a, b)),
+        (tensor_tube_mul(a, tube), t_product_reference(a, f_diagonal([tube] * a.p))),
+        (sq**3, t_product_reference(t_product_reference(sq, sq), sq)),
+    ]
+    for got, want in cases:
+        assert got.is_real and not np.any(got.data.imag)
+        assert (got - want).frob_norm() <= 1e-13 * max(1.0, want.frob_norm())
+    for strict in (False, True):
+        # a mask that is the same on every Fourier face masks every frontal
+        # face alike, i.e. every block of bcirc(A)
+        got = f_tril(a, strict=strict)
+        mask = np.tril(np.ones((a.l, a.p)), k=-1 if strict else 0)
+        assert got.is_real
+        assert_allclose(got.data, a.data * mask[:, :, None], rtol=0, atol=1e-14)
 
 
 def test_t_product_real_closure(rng):
