@@ -328,10 +328,7 @@ class EigentubeSpectrum:
 
     ``face_values[f, j]`` is the j-th largest eigenvalue of Fourier face f;
     eigentube j is the inverse transform of column j. Multiplicity queries
-    are evaluated facewise and take the minimum over faces. For a real
-    tensor ``faces`` holds the leading faces, mirrored to all n for a
-    query: the sort can leave a conjugate face's column j other than the
-    conjugate of column j, e.g. where a conjugate pair ties on one face.
+    are evaluated facewise and take the minimum over faces.
     """
 
     def __init__(self, eigentubes, face_values, faces):
@@ -344,8 +341,8 @@ class EigentubeSpectrum:
         return self.face_values.shape[1]
 
     def _shifted_faces(self, j):
-        faces = _mirror(self._faces, len(self.face_values))
-        return faces - self.face_values[:, j, None, None] * np.eye(self.p)
+        lam = self.face_values[:, j]
+        return self._faces - lam[:, None, None] * np.eye(self.p)
 
     def algebraic_f_multiplicity(self, j, rtol=1e-8):
         vals = self.face_values
@@ -394,7 +391,7 @@ def spectrum_of(a):
     faces = _face_stack(a, a.is_real)
     raw = _mirror(_face_eigvals(faces), a.n)
     face_values = _sort_face_eigs(raw)
-    return EigentubeSpectrum(_maybe_real_tubes(face_values), face_values, faces)
+    return EigentubeSpectrum(_maybe_real_tubes(face_values), face_values, _mirror(faces, a.n))
 
 
 # ---------------------------------------------------------------------------

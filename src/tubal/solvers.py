@@ -212,9 +212,9 @@ def _power_loop(a, v0, sigma, cfg, rng):
     half = real and v.is_real
     ahat = op = _face_stack(a, half)
     if sigma is not None:
-        sig = _face_stack(Tensor3(sigma.spatial_values[None, None, :]), half)
+        sig = np.fft.rfft(sigma.spatial_values.real) if half else sigma.fourier_values
         try:
-            op = _facewise_inverse(ahat - sig * np.eye(p))
+            op = _facewise_inverse(ahat - sig[:, None, None] * np.eye(p))
         except SingularFace as exc:
             raise SingularShift(f"face {exc.face_index}: shifted tensor is singular") from exc
     weights = parseval_weights(n, len(ahat))
@@ -241,7 +241,7 @@ def _power_loop(a, v0, sigma, cfg, rng):
         return int(np.argmax(row_norms(ws[1])))
 
     def result(j, reason):
-        tube = None if lam is None else Tube(_from_face_stack(lam[:, None, None], n, half)[0, 0])
+        tube = None if lam is None else Tube(np.fft.irfft(lam, n) if half else np.fft.ifft(lam))
         v = Tensor3(_from_face_stack(vs[j], n, half), real=half)
         return EigenPair(tube, v, resid, k - m + j, reason != "cap", reason, trace)
 
@@ -296,7 +296,7 @@ def _power_loop(a, v0, sigma, cfg, rng):
             k, m = k - (m - s), s
         alphas[1 : m + 1] = taken[:m, :, anchor, 0]
         if sigma is not None:
-            lams[1 : m + 1] = 1.0 / alphas[1 : m + 1] + sig[:, 0, 0]
+            lams[1 : m + 1] = 1.0 / alphas[1 : m + 1] + sig
         if stop := score():
             return stop
         if not len(failed):

@@ -217,12 +217,8 @@ def _face_stack(t, half):
     """Fourier faces of ``t`` as a contiguous (faces, l, p) stack: all n of
     them, or with ``half`` (a real tensor) the leading n // 2 + 1 by the
     real-input transform; the other faces are their conjugates."""
-    stack = np.empty((t.n // 2 + 1 if half else t.n, t.l, t.p), complex)
     fft, data = (np.fft.rfft, t.data.real) if half else (np.fft.fft, t.data)
-    # written through a transposed view: the bits of a transform along
-    # axis 2 and a copy, without the copy
-    fft(data, axis=2, out=stack.transpose(1, 2, 0))
-    return stack
+    return np.ascontiguousarray(np.moveaxis(fft(data, axis=2), 2, 0))
 
 
 def _from_face_stack(stack, n, half):
@@ -386,7 +382,7 @@ def tensor_tube_mul(a, b):
     if a.n != b.n:
         raise DimensionMismatch("tubes", a.n, b.n)
     half = a.is_real and b.is_real
-    bh = _face_stack(Tensor3(b.spatial_values[None, None, :]), half)
+    bh = (np.fft.rfft(b.spatial_values.real) if half else b.fourier_values)[:, None, None]
     return Tensor3(_from_face_stack(_face_stack(a, half) * bh, a.n, half))
 
 
