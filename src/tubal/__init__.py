@@ -18,6 +18,7 @@ from .errors import (
     SingularFace,
     SingularShift,
     TubalError,
+    UnknownFormat,
     UnknownKind,
     ZeroSlice,
 )

@@ -16,9 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .errors import TubalError
+from .errors import TubalError, UnknownFormat
 from .experiments import (
     DEFAULT_GAUSS_SEED,
     METHODS,
@@ -26,15 +24,16 @@ from .experiments import (
     TENSOR_KINDS,
     TestTensorSpec,
     _report_doc,
+    _shift_tube,
     _tube_to_lists,
+    _write_csv,
     default_config,
     make_tensor,
     run_method,
     run_table,
 )
 from .factorizations import spectrum_of
-from .tensorio import read_tensor, write_tensor
-from .tubes import Tube
+from .tensorio import read_tensor, write_file, write_tensor
 
 
 def _parse_shift(text, n):
@@ -45,9 +44,7 @@ def _parse_shift(text, n):
     pairs = [complex(parts[i], parts[i + 1]) for i in range(0, len(parts), 2)]
     if len(pairs) > n:
         raise ValueError(f"--shift has {len(pairs)} entries but the tensor has n={n}")
-    v = np.zeros(n, dtype=np.complex128)
-    v[: len(pairs)] = pairs
-    return Tube(v)
+    return _shift_tube(pairs, n)
 
 
 def _load_tensor(text, seed, dims=None):
@@ -141,8 +138,7 @@ def _cmd_run(args):
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    doc = _report_doc(rep)
-    (out / f"{name}_{args.method}.json").write_text(json.dumps(doc, indent=1))
+    write_file(out / f"{name}_{args.method}.json", json.dumps(_report_doc(rep), indent=1))
     print(f"{rep.tensor} {rep.method}: {_summary(rep)}")
     return 0 if rep.converged else 2
 
@@ -157,18 +153,16 @@ def _cmd_spectrum(args):
             "eigentubes": [_tube_to_lists(t) for t in spec.eigentubes],
             "norms": [t.norm() for t in spec.eigentubes],
         }
-        out.write_text(json.dumps(doc, indent=1))
+        write_file(out, json.dumps(doc, indent=1))
     elif out.suffix == ".csv":
-        import csv
-
-        with open(out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["eigentube", "entry", "re", "im"])
-            for j, t in enumerate(spec.eigentubes):
-                for e, z in enumerate(t.spatial_values):
-                    writer.writerow([j + 1, e + 1, f"{z.real:.16e}", f"{z.imag:.16e}"])
+        rows = [
+            [j + 1, e + 1, f"{z.real:.16e}", f"{z.imag:.16e}"]
+            for j, t in enumerate(spec.eigentubes)
+            for e, z in enumerate(t.spatial_values)
+        ]
+        _write_csv(out, ["eigentube", "entry", "re", "im"], rows)
     else:
-        raise ValueError("spectrum output must be .csv or .json")
+        raise UnknownFormat("spectrum output must be .csv or .json")
     print(f"wrote {len(spec.eigentubes)} eigentubes to {out}")
     return 0
 

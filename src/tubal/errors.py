@@ -109,3 +109,7 @@ class MalformedFile(TubalError):
 
 class UnknownKind(TubalError):
     """An unrecognized test-tensor kind was requested."""
+
+
+class UnknownFormat(TubalError, ValueError):
+    """A file suffix names no format that tubal reads or writes."""

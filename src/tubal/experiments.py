@@ -13,6 +13,7 @@ convergence traces, and a JSON manifest with full-precision values.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import time
 from itertools import zip_longest
@@ -32,6 +33,7 @@ from .solvers import (
     t_qr_shifted,
     t_subspace_iteration,
 )
+from .tensorio import write_file
 from .tensors import Tensor3, concat_lateral, f_diagonal, identity, t_product
 from .tubes import Tube
 
@@ -100,31 +102,24 @@ def make_tensor(spec):
     if isinstance(spec, str):
         spec = TestTensorSpec(spec)
     kind = spec.kind.lower()
-    if kind == "tridiag":
-        l, p, n = spec.dims or (10, 10, 3)
-        if l != p:
-            raise ValueError("tridiag tensor must be square")
-        t = 2 * np.eye(p) - np.eye(p, k=1) - np.eye(p, k=-1)
-        data = np.zeros((p, p, n))
-        for i in range(n):
-            data[:, :, i] = (10.0**i) * t
-        return Tensor3(data)
     if kind == "stochastic":
         if spec.dims is not None and tuple(spec.dims) != (4, 4, 4):
             raise ValueError("the stochastic tensor is fixed at 4x4x4")
         return Tensor3(np.moveaxis(STOCHASTIC_FACES, 0, 2))
+    if kind not in TENSOR_KINDS:
+        raise UnknownKind(f"unknown tensor kind {spec.kind!r}")
+    l, p, n = spec.dims or (10, 10, 3 if kind == "tridiag" else 10)
     if kind == "complex":
-        l, p, n = spec.dims or (10, 10, 10)
         rng = np.random.default_rng(spec.seed)
         return Tensor3(
             rng.standard_normal((l, p, n)) + 1j * rng.standard_normal((l, p, n))
         )
-    if kind == "realeig":
-        l, p, n = spec.dims or (10, 10, 10)
-        if l != p:
-            raise ValueError("realeig tensor must be square")
-        return _realeig_tensor(p, n, spec.seed)
-    raise UnknownKind(f"unknown tensor kind {spec.kind!r}")
+    if l != p:
+        raise ValueError(f"{kind} tensor must be square")
+    if kind == "tridiag":
+        t = 2 * np.eye(p) - np.eye(p, k=1) - np.eye(p, k=-1)
+        return Tensor3(np.multiply.outer(t, 10.0 ** np.arange(n)))
+    return _realeig_tensor(p, n, spec.seed)
 
 
 def _realeig_tensor(p, n, seed, base=4.0, ratio=0.55):
@@ -198,8 +193,7 @@ class ExperimentReport:
 
 
 def _tube_to_lists(t):
-    v = t.spatial_values
-    return [[float(z.real), float(z.imag)] for z in v]
+    return [[float(z.real), float(z.imag)] for z in t.spatial_values]
 
 
 #: Every method a run can name, with the run parameters its report echoes
@@ -390,9 +384,10 @@ _CELLS = {
 }
 
 
-def _first_entry_shift(value, n):
+def _shift_tube(values, n):
+    """The tube whose leading entries are ``values``, zeros after them."""
     v = np.zeros(n, dtype=np.complex128)
-    v[0] = value
+    v[: len(values)] = values
     return Tube(v)
 
 
@@ -415,7 +410,7 @@ def run_table(table, out_dir, seed=DEFAULT_GAUSS_SEED, solver_seed=0):
         if row.kind not in tensors:
             tensors[row.kind] = make_tensor(TestTensorSpec(row.kind, seed=seed))
         a = tensors[row.kind]
-        shift = None if row.shift is None else _first_entry_shift(row.shift, a.n)
+        shift = None if row.shift is None else _shift_tube([row.shift], a.n)
         cfg = default_config(row.method, rng_seed=solver_seed, **row.overrides)
         reports.append(run_method(a, row.kind, row.method, cfg, num=row.num, shift=shift))
 
@@ -428,7 +423,7 @@ def run_table(table, out_dir, seed=DEFAULT_GAUSS_SEED, solver_seed=0):
         "solver_seed": solver_seed,
         "rows": [_report_doc(r) for r in reports],
     }
-    (out / f"{name}_manifest.json").write_text(json.dumps(manifest, indent=1))
+    write_file(out / f"{name}_manifest.json", json.dumps(manifest, indent=1))
     return reports
 
 
@@ -457,10 +452,9 @@ def _sci(x):
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    text = io.StringIO()
+    csv.writer(text).writerows([header, *rows])
+    write_file(path, text.getvalue())
 
 
 def _trace_tag(rep):

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedFile
+from .errors import MalformedFile, UnknownFormat
 from .tensors import Tensor3
 
 MAGIC = b"T3B\x00"
@@ -32,6 +32,16 @@ MAX_ENTRIES = 10**9
 
 _HEADER = struct.Struct("<4sIII")
 _DIMS = struct.Struct("<QQQB")
+
+
+def write_file(path, data):
+    """Write ``data`` (``str`` as UTF-8, or ``bytes``) over ``path`` in place
+    and cut the file at its end. On ext4, truncating a file to zero on open,
+    or renaming another over it, flushes it to disk: 45-85 ms a file on a
+    virtual disk. The write is not atomic."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data.encode() if isinstance(data, str) else data)
+        fh.truncate()
 
 
 def _payload(t):
@@ -70,7 +80,7 @@ def _parse(body):
 def write_t3b(t, path):
     body = _payload(t)
     header = _HEADER.pack(MAGIC, VERSION, zlib.crc32(body) & 0xFFFFFFFF, 0)
-    Path(path).write_bytes(header + body)
+    write_file(path, header + body)
 
 
 def read_t3b(path):
@@ -107,7 +117,7 @@ def write_json(t, path):
         "real": t.is_real,
         "data": base64.b64encode(_payload(t)).decode("ascii"),
     }
-    Path(path).write_text(json.dumps(doc))
+    write_file(path, json.dumps(doc))
 
 
 def read_json(path):
@@ -131,19 +141,15 @@ def read_json(path):
 
 def write_tensor(t, path):
     """Write by file suffix: ``.t3b`` binary, ``.json`` sidecar."""
-    path = Path(path)
-    if path.suffix == ".t3b":
-        write_t3b(t, path)
-    elif path.suffix == ".json":
-        write_json(t, path)
-    else:
-        raise ValueError(f"unknown tensor format {path.suffix!r}")
+    _by_suffix(path, write_t3b, write_json)(t, path)
 
 
 def read_tensor(path):
-    path = Path(path)
-    if path.suffix == ".t3b":
-        return read_t3b(path)
-    if path.suffix == ".json":
-        return read_json(path)
-    raise ValueError(f"unknown tensor format {path.suffix!r}")
+    return _by_suffix(path, read_t3b, read_json)(path)
+
+
+def _by_suffix(path, t3b, sidecar):
+    suffix = Path(path).suffix
+    if suffix not in (".t3b", ".json"):
+        raise UnknownFormat(f"unknown tensor format {suffix!r}")
+    return t3b if suffix == ".t3b" else sidecar

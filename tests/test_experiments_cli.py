@@ -134,6 +134,33 @@ def test_run_table_t2_rows(tmp_path):
     assert len(rows) == 4
 
 
+def test_run_table_twice_rewrites_outputs(tmp_path):
+    def outputs():
+        files = {}
+        for path in sorted(tmp_path.glob("t2*.csv")):
+            rows = list(csv.reader(path.read_text().splitlines()))
+            timed = [i for i, name in enumerate(rows[0]) if name.endswith("time")]
+            files[path.name] = [
+                [None if i in timed else cell for i, cell in enumerate(row)] for row in rows
+            ]
+        manifest = json.loads((tmp_path / "t2_manifest.json").read_text())
+        for row in manifest["rows"]:
+            row["wall_time"] = None
+        return files, manifest
+
+    run_table("t2", tmp_path)
+    first = outputs()
+    traces = {p.name: p.read_bytes() for p in tmp_path.glob("*.trace.csv")}
+    # as if an earlier run had written more: the rewrite must cut every file
+    for path in tmp_path.iterdir():
+        with open(path, "a") as fh:
+            fh.write("stale\n" * 1000)
+    run_table("t2", tmp_path)
+    assert outputs() == first
+    assert {p.name: p.read_bytes() for p in tmp_path.glob("*.trace.csv")} == traces
+    assert len(first[0]) == 4 and len(traces) == 3
+
+
 def test_run_table_t10_rows(tmp_path):
     reports = run_table("t10", tmp_path)
     assert [r.tensor for r in reports] == ["tridiag", "stochastic"]
@@ -202,11 +229,16 @@ def test_cli_gen_convert_spectrum(tmp_path, capsys):
 
     assert np.array_equal(read_tensor(js).data, read_tensor(t3b).data)
     spec_csv = tmp_path / "spec.csv"
-    assert main(["spectrum", "--tensor", str(t3b), "--out", str(spec_csv)]) == 0
-    with open(spec_csv) as fh:
+    spec_json = tmp_path / "spec.json"
+    # both land on longer files, which they must overwrite to their end
+    for path in (spec_csv, spec_json):
+        path.write_text("stale\n" * 1000)
+        assert main(["spectrum", "--tensor", str(t3b), "--out", str(path)]) == 0
+    with open(spec_csv, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["eigentube", "entry", "re", "im"]
     assert len(rows) == 1 + 4 * 4
+    assert len(json.loads(spec_json.read_text())["eigentubes"]) == 4
 
 
 def test_cli_gen_dims(tmp_path):
@@ -218,6 +250,7 @@ def test_cli_gen_dims(tmp_path):
 
 
 def test_cli_run_single(tmp_path, capsys):
+    (tmp_path / "stochastic_t-pm.json").write_text("stale\n" * 100_000)
     code = main(
         [
             "run",
@@ -276,6 +309,10 @@ def test_cli_usage_errors(tmp_path, capsys):
             assert main(args + ["--out", str(tmp_path)]) == 1
     assert main(["gen", "--tensor", "stochastic", "--dims", "3,3", "--out", "x.t3b"]) == 1
     assert main(["spectrum", "--tensor", "missing.t3b", "--out", "s.csv"]) == 1
+    spectrum_txt = tmp_path / "s.txt"
+    assert main(["spectrum", "--tensor", "stochastic", "--out", str(spectrum_txt)]) == 1
+    assert "must be .csv or .json" in capsys.readouterr().err
+    assert not spectrum_txt.exists()
 
 
 def test_cli_run_table_smoke(tmp_path):

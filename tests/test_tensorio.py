@@ -1,10 +1,14 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import tubal
 from conftest import random_tensor
-from tubal import MalformedFile, Tensor3, read_tensor, write_tensor
+from tubal import MalformedFile, Tensor3, TubalError, UnknownFormat, read_tensor, write_tensor
 from tubal.experiments import TestTensorSpec, make_tensor
-from tubal.tensorio import read_json, read_t3b, write_json, write_t3b
+from tubal.tensorio import read_json, read_t3b, write_file, write_json, write_t3b
 
 
 def test_binary_roundtrip_is_bitwise(tmp_path, rng):
@@ -34,6 +38,10 @@ def test_json_roundtrip(tmp_path, rng):
     assert back.is_real
 
 
+def _bits(t):
+    return np.ascontiguousarray(t.data).view(np.uint64)
+
+
 @pytest.mark.parametrize("suffix", [".t3b", ".json"])
 @pytest.mark.parametrize("real", [True, False])
 def test_roundtrip_keeps_every_bit(tmp_path, suffix, real):
@@ -52,11 +60,7 @@ def test_roundtrip_keeps_every_bit(tmp_path, suffix, real):
     write_tensor(a, path)
     back = read_tensor(path)
     assert back.is_real == real
-
-    def bits(t):
-        return np.ascontiguousarray(t.data).view(np.uint64)
-
-    assert np.array_equal(bits(back), bits(a))
+    assert np.array_equal(_bits(back), _bits(a))
 
 
 def test_cross_format_equality(tmp_path, rng):
@@ -147,7 +151,85 @@ def test_json_rejects_garbage(tmp_path):
 
 def test_unknown_suffix(tmp_path, rng):
     a = random_tensor(rng, 2, 2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as write_err:
         write_tensor(a, tmp_path / "a.npz")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as read_err:
         read_tensor(tmp_path / "a.npz")
+    for err in (write_err, read_err):
+        assert isinstance(err.value, TubalError)
+        assert isinstance(err.value, UnknownFormat)
+    assert not (tmp_path / "a.npz").exists()
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ("a longer first text\n" * 50, b"short"),
+        (b"\x00\xff" * 4096, "short, \u00e9\n"),
+        ("0123456789", ""),
+        (b"", b"grown"),
+    ],
+    ids=["bytes-over-text", "text-over-bytes", "empty", "longer"],
+)
+def test_write_file_leaves_exactly_the_new_bytes(tmp_path, first, second):
+    path = tmp_path / "f"
+    write_file(path, first)
+    write_file(str(path), second)
+    expect = second.encode("utf-8") if isinstance(second, str) else second
+    assert path.read_bytes() == expect
+
+
+@pytest.mark.parametrize("suffix", [".t3b", ".json"])
+def test_write_tensor_twice_roundtrips(tmp_path, rng, suffix):
+    big = random_tensor(rng, 6, 5, 7)
+    small = random_tensor(rng, 2, 3, 2, real=True)
+    path = tmp_path / f"a{suffix}"
+    for t in (big, small, big, small):
+        write_tensor(t, path)
+        back = read_tensor(path)
+        assert back.is_real == t.is_real
+        assert np.array_equal(_bits(back), _bits(t))
+    fresh = tmp_path / f"fresh{suffix}"
+    write_tensor(small, fresh)
+    assert path.read_bytes() == fresh.read_bytes()
+
+
+def _opens_for_writing(call):
+    """Whether an ``ast.Call`` writes a file: ``write_text``, ``write_bytes``,
+    or an ``open`` (builtin, ``io``, ``os`` or ``Path``) in a write mode."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    modes = list(call.args[1:] if isinstance(func, ast.Name) else call.args)
+    modes += [kw.value for kw in call.keywords if kw.arg in ("mode", "flags")]
+    for mode in modes:
+        if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
+            if set(mode.value) <= set("rwxabt+") and set(mode.value) & set("wxa+"):
+                return True
+        elif any(
+            isinstance(node, ast.Attribute) and node.attr in ("O_WRONLY", "O_RDWR")
+            for node in ast.walk(mode)
+        ):
+            return True
+    return False
+
+
+def test_every_write_goes_through_write_file():
+    src = Path(tubal.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        helper = set()
+        if path.name == "tensorio.py":
+            fn = next(
+                n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "write_file"
+            )
+            helper = set(range(fn.lineno, fn.end_lineno + 1))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _opens_for_writing(node):
+                found.append((path.name, node.lineno, node.lineno in helper))
+    # the helper's own two opens are seen, and nothing else writes
+    assert [f for f in found if f[2]] and [f for f in found if not f[2]] == []
