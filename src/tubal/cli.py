@@ -27,6 +27,7 @@ from .experiments import (
     _shift_tube,
     _tube_to_lists,
     _write_csv,
+    _write_trace,
     default_config,
     make_tensor,
     run_method,
@@ -139,6 +140,7 @@ def _cmd_run(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_file(out / f"{name}_{args.method}.json", json.dumps(_report_doc(rep), indent=1))
+    _write_trace(out / f"{name}_{args.method}.trace.csv", rep)
     print(f"{rep.tensor} {rep.method}: {_summary(rep)}")
     return 0 if rep.converged else 2
 

@@ -416,7 +416,7 @@ def run_table(table, out_dir, seed=DEFAULT_GAUSS_SEED, solver_seed=0):
 
     _write_csv(out / f"{name}.csv", *_csv_layout(spec, reports))
     for rep in reports:
-        _write_trace(out, name, rep)
+        _write_trace(out / f"{name}_{_trace_tag(rep)}.trace.csv", rep)
     manifest = {
         "table": name,
         "tensor_seed": seed,
@@ -466,15 +466,17 @@ def _trace_tag(rep):
     return tag
 
 
-def _write_trace(out_dir, table, rep):
+def _write_trace(path, rep):
+    """The residual and stabilization error of each iteration, as CSV."""
     residuals = [f"{x:.16e}" for x in rep.residual_trace]
     errors = [f"{x:.16e}" for x in rep.error_trace]
     pairs = zip_longest(residuals, errors, fillvalue="")
     rows = [[i, res, err] for i, (res, err) in enumerate(pairs, 1)]
-    path = Path(out_dir) / f"{table}_{_trace_tag(rep)}.trace.csv"
     _write_csv(path, ["iteration", "residual", "error"], rows)
 
 
 def _report_doc(rep):
-    """The JSON fields of a report: all but its tensors."""
-    return {k: v for k, v in vars(rep).items() if k != "eigenslices"}
+    """The JSON fields of a report: all but its tensors and its traces,
+    which :func:`_write_trace` writes."""
+    skip = ("eigenslices", "residual_trace", "error_trace")
+    return {k: v for k, v in vars(rep).items() if k not in skip}

@@ -51,7 +51,15 @@ RESTARTS = 3
 #: and again before a complex-shift run is abandoned.
 STAGNATION_LIMIT = 500
 
-#: Power-family steps taken between two scorings (see :func:`_power_loop`).
+#: The stall stop of the power family and subspace iteration: a run whose
+#: stall metric has not fallen below 0.9 times its best for STALL_WINDOW
+#: steps, with that best at most STALL_CEILING, is taken as converged to
+#: its floating point noise floor. Iterations whose eigenvalue gap is small
+#: sit on a floor near eps / gap, well above any tight tolerance.
+STALL_WINDOW = 200
+STALL_CEILING = 1e-8
+
+#: Steps taken between two scorings (see :func:`_iterate`).
 _SCORE_CHUNK = 16
 
 
@@ -85,31 +93,6 @@ class SolverConfig:
             raise ValueError("power_index must be at least 1")
         if self.deflation_variant.upper() not in ("DE", "DLE", "DS"):
             raise ValueError(f"unknown deflation variant {self.deflation_variant!r}")
-
-
-class _StallDetector:
-    """Declares convergence when the stabilization metric stops improving.
-
-    Iterations whose eigenvalue gap is small reach a floating point noise
-    floor near eps / gap, well above any tight tolerance, so an iteration
-    that fails to improve its best metric by ten percent for a whole window
-    while already at a tiny level is treated as converged to the attainable
-    fixed point.
-    """
-
-    def __init__(self, window=200, ceiling=1e-8):
-        self.window = window
-        self.ceiling = ceiling
-        self.best = np.inf
-        self.stalled = 0
-
-    def converged(self, metric):
-        if metric < 0.9 * self.best:
-            self.best = metric
-            self.stalled = 0
-            return False
-        self.stalled += 1
-        return self.stalled >= self.window and self.best <= self.ceiling
 
 
 @dataclass
@@ -167,13 +150,70 @@ def t_max(x):
 
 
 # ---------------------------------------------------------------------------
+# the chunked iteration driver
+
+
+def _iterate(cfg, slots, take, result):
+    """The iteration of the power family (:func:`_power_loop`) and of
+    :func:`t_subspace_iteration`: apply the operator, renormalize, and stop
+    once the iterates stabilize.
+
+    Each round asks ``take(m)`` for m = ``_SCORE_CHUNK`` steps (fewer
+    before the cap). The solver takes them speculatively into slots 1..m
+    of its ``slots`` stacks, slot 0 holding the last scored step or a start
+    slice, and returns a row (residual, tol test passed, stall metric) for
+    each step it keeps, from one batched Parseval reduction, together with
+    ``recover``: None when it kept every step, else the repair of the first
+    dropped one. The rows are replayed in step order: every residual joins
+    the trace, and the first step to pass the tol test, or the stall test
+    (``STALL_WINDOW``, ``STALL_CEILING``), stops the run with
+    ``result(j, iterations, reason, trace)`` for slot j. The first step
+    after a start has nothing to compare with, so only its residual counts.
+    Otherwise the last kept step moves to slot 0, and ``recover()`` runs:
+    it returns False when the step is retaken (the power family's anchor
+    move, which counts no step) and True when it put a fresh start slice in
+    slot 0 (a restart, which counts one). With every step kept, reaching
+    ``cfg.iter_max`` steps raises :class:`NoConvergence` with the last
+    residual and the cap result of slot 0. Steps are always scored before a
+    restart, a raise or the cap, so the results, traces and random draws
+    are those of checking and scoring each step as it is taken.
+    """
+    k, fresh, trace = 0, True, []
+    best, stalled = np.inf, 0
+    while True:
+        rows, recover = take(min(_SCORE_CHUNK, cfg.iter_max - k))
+        for j, (resid, ok, metric) in enumerate(rows, 1):
+            trace.append(resid)
+            if j == 1 and fresh:
+                continue
+            if ok:
+                return result(j, k + j, "tol", trace)
+            if metric < 0.9 * best:
+                best, stalled = metric, 0
+                continue
+            stalled += 1
+            if stalled >= STALL_WINDOW and best <= STALL_CEILING:
+                return result(j, k + j, "stall", trace)
+        if rows:
+            k, fresh = k + len(rows), False
+            for s in slots:
+                s[0] = s[len(rows)]
+        if recover is None:
+            if k == cfg.iter_max:
+                last = trace[-1] if trace else None
+                raise NoConvergence(k, last, result=result(0, k, "cap", trace))
+        elif recover():
+            k, fresh = k + 1, True
+
+
+# ---------------------------------------------------------------------------
 # power iteration and shifted inverse iteration
 
 
 def _power_loop(a, v0, sigma, cfg, rng):
     """The iteration shared by :func:`t_power` (``sigma`` None) and
     :func:`t_inverse_power`, with the stopping and restart rules described
-    for :func:`t_power`.
+    for :func:`t_power`, run by :func:`_iterate`.
 
     Each step maps the slice v to w = B * v, where B is A, or with a shift
     the inverse of A - sigma * I, divides w by its anchored row tube alpha,
@@ -185,19 +225,13 @@ def _power_loop(a, v0, sigma, cfg, rng):
     is transformed back. Random start and restart slices are real when A
     and sigma are.
 
-    Steps are taken speculatively: up to ``_SCORE_CHUNK`` of them, each a
-    division by the current anchor row and a product, fill slots 1, 2, ...
-    of the v and w stacks (v slot 0: the start slice or the last scored
-    step; w slot j + 1: B * v of step j). One batched check then takes
-    their row norms and divisor gates and drops the first step whose anchor
-    row fell below a tenth of the largest, or whose alpha fails the gate,
-    with every later step; the anchor then moves and the step is retaken,
-    or the run restarts or raises. One batched Parseval reduction scores
-    the steps that passed, with one batched product for their residuals
-    against A when B is the inverse, and the stop tests are replayed in
-    step order. Pending steps are scored before a restart, a raise or the
-    cap: the results, traces and random draws are those of checking and
-    scoring each step as taken.
+    A step is a division by the current anchor row and a product into the
+    v and w stacks (w slot j + 1: B * v of step j). Once per chunk, one
+    batched check takes the steps' row norms and divisor gates and drops
+    the first step whose anchor row fell below a tenth of the largest, or
+    whose alpha fails the gate, with every later step; its recovery moves
+    the anchor, restarts, or raises. The kept steps are scored with one
+    batched product for their residuals against A when B is the inverse.
     """
     _check_square(a)
     cfg = cfg or SolverConfig()
@@ -224,12 +258,7 @@ def _power_loop(a, v0, sigma, cfg, rng):
     alphas = np.zeros(vs.shape[:2], complex)
     lams = alphas if sigma is None else np.zeros_like(alphas)
     wl, vl = list(ws), list(vs)  # slot views: slicing costs as much as a step
-    k = m = restarts = 0
-    fresh = True  # slot 1 follows a start or restart slice: only its resid counts
-    lam = None
-    trace = []
-    resid = np.inf
-    stall = _StallDetector()
+    restarts = 0
 
     def row_norms(w):
         return np.sqrt(weights @ (w.real**2 + w.imag**2)[..., 0])
@@ -240,45 +269,21 @@ def _power_loop(a, v0, sigma, cfg, rng):
         np.matmul(op, vs[0], out=ws[1])
         return int(np.argmax(row_norms(ws[1])))
 
-    def result(j, reason):
+    def result(j, iterations, reason, trace):
+        lam = lams[j] if trace else None  # no eigentube before a step is scored
         tube = None if lam is None else Tube(np.fft.irfft(lam, n) if half else np.fft.ifft(lam))
         v = Tensor3(_from_face_stack(vs[j], n, half), real=half)
-        return EigenPair(tube, v, resid, k - m + j, reason != "cap", reason, trace)
+        resid = trace[-1] if trace else np.inf
+        return EigenPair(tube, v, resid, iterations, reason != "cap", reason, trace)
 
-    def score():
-        """Replay the stop tests of pending steps 1..m in order: the result
-        of the step that stops, else None with step m moved to slot 0."""
-        nonlocal m, fresh, lam, resid
-        if not m:
-            return None
-        lo, hi = slice(0, m), slice(1, m + 1)
-        al = alphas[:, :, None, None]
-        avs = ws[2 : m + 2] if sigma is None else ahat @ vs[hi]
-        norms = parseval_norms(weights, avs - vs[hi] * lams[hi, :, None, None],
-                               vs[hi] - vs[lo], al[hi] - al[lo], al[hi], vs[hi])
-        for j, (resid, dv, da, anorm, vnorm) in enumerate(norms, 1):
-            trace.append(resid)
-            if j == 1 and fresh:
-                continue
-            anorm = max(1.0, anorm)
-            reason = "tol" if dv <= cfg.tol and da <= cfg.tol * anorm else None
-            if reason or stall.converged(max(dv / max(1.0, vnorm), da / anorm)):
-                lam = lams[j]
-                return result(j, reason or "stall")
-        vs[0], ws[1], alphas[0], lams[0] = vs[m], ws[m + 1], alphas[m], lams[m]
-        lam, m, fresh = lams[0], 0, False
-        return None
-
-    anchor = start(v)
-    while True:
+    def take(m):
+        nonlocal anchor
         # a step after a failing one divides by zero or NaN; it is dropped
         with np.errstate(all="ignore"):
-            m = min(_SCORE_CHUNK, cfg.iter_max - k)  # score() left no step pending
             for j in range(1, m + 1):
                 w = wl[j]
                 np.divide(w, w[:, anchor : anchor + 1], out=vl[j])
                 np.matmul(op, vl[j], out=wl[j + 1])
-            k += m
             taken = ws[1 : m + 1]
             rows = row_norms(taken)
             top = np.maximum.reduce(rows, -1)
@@ -291,35 +296,45 @@ def _power_loop(a, v0, sigma, cfg, rng):
             # is abandoned
             moved = rows[:, anchor] < 0.1 * top
             failed = np.flatnonzero(moved | ~_divisor_ok(mags))
-        if len(failed):
-            s = int(failed[0])
-            k, m = k - (m - s), s
-        alphas[1 : m + 1] = taken[:m, :, anchor, 0]
-        if sigma is not None:
-            lams[1 : m + 1] = 1.0 / alphas[1 : m + 1] + sig
-        if stop := score():
-            return stop
-        if not len(failed):
-            if k == cfg.iter_max:
-                raise NoConvergence(k, resid, result=result(0, "cap"))
-            continue
-        if moved[s]:
-            anchor = int(np.argmax(rows[s]))
-            continue
-        try:
-            _check_divisor(mags)  # raises for step s, the first to fail the gate
-        except NearSingularTube as exc:
-            # a zero slice (every row norm 0, even by underflow) fails the gate
-            if top[s] == 0.0:
-                raise ZeroSlice("every tube of the slice is zero") from None
-            if restarts >= RESTARTS:
-                raise DivisionFailure(
-                    f"scaling tube stayed near singular after {restarts} restarts"
-                ) from exc
-        restarts += 1
-        k += 1
-        fresh = True
-        anchor = start(random_slice_set(p, 1, n, real, rng))
+        s = int(failed[0]) if len(failed) else m
+        scored = []
+        if s:
+            lo, hi = slice(0, s), slice(1, s + 1)
+            alphas[hi] = taken[:s, :, anchor, 0]
+            if sigma is not None:
+                lams[hi] = 1.0 / alphas[hi] + sig
+            al = alphas[:, :, None, None]
+            avs = ws[2 : s + 2] if sigma is None else ahat @ vs[hi]
+            norms = parseval_norms(weights, avs - vs[hi] * lams[hi, :, None, None],
+                                   vs[hi] - vs[lo], al[hi] - al[lo], al[hi], vs[hi])
+            for resid, dv, da, anorm, vnorm in norms:
+                anorm = max(1.0, anorm)
+                scored.append((resid, dv <= cfg.tol and da <= cfg.tol * anorm,
+                               max(dv / max(1.0, vnorm), da / anorm)))
+
+        def recover():
+            nonlocal anchor, restarts
+            if moved[s]:
+                anchor = int(np.argmax(rows[s]))
+                return False
+            try:
+                _check_divisor(mags)  # raises for step s, the first to fail the gate
+            except NearSingularTube as exc:
+                # a zero slice (every row norm 0, even by underflow) fails the gate
+                if top[s] == 0.0:
+                    raise ZeroSlice("every tube of the slice is zero") from None
+                if restarts >= RESTARTS:
+                    raise DivisionFailure(
+                        f"scaling tube stayed near singular after {restarts} restarts"
+                    ) from exc
+            restarts += 1
+            anchor = start(random_slice_set(p, 1, n, real, rng))
+            return True
+
+        return scored, recover if len(failed) else None
+
+    anchor = start(v)
+    return _iterate(cfg, (vs, ws[1:], alphas, lams), take, result)
 
 
 def t_power(a, v0=None, cfg=None, rng=None):
@@ -333,9 +348,8 @@ def t_power(a, v0=None, cfg=None, rng=None):
     ``"tol"``), or once the stall detector reports that the iteration sits
     at its floating point noise floor (``"stall"``). A near-singular
     scaling tube triggers a restart with a fresh random slice, up to
-    ``RESTARTS`` times. Steps are taken speculatively and checked, anchor
-    and gate with their stopping norms, once per ``_SCORE_CHUNK`` steps,
-    rolling back from the first that fails (see :func:`_power_loop`).
+    ``RESTARTS`` times. Steps run in the chunks of :func:`_iterate`, and
+    :func:`_power_loop` checks their anchor and gate once per chunk.
     """
     return _power_loop(a, v0, None, cfg, rng)
 
@@ -505,11 +519,10 @@ def t_subspace_iteration(a, num=None, x0=None, cfg=None, rng=None):
     step is one :func:`facewise_qr` call and the power products, Y serves as
     the next step's first power application, every norm is taken from the
     stacks by Parseval, and only the returned tensors are transformed back.
-    No step reads R or the stopping metrics, so steps are scored in chunks
-    as in :func:`_power_loop`: up to ``_SCORE_CHUNK`` steps fill slots 1,
-    2, ... of X and Y stacks (slot 0: the last scored step), then batched
-    products give their R and residuals, one Parseval reduction their
-    norms, and the stop tests are replayed in step order.
+    No step reads R or the stopping metrics, so :func:`_iterate` runs the
+    steps in chunks: a step fills one slot of the X and Y stacks, and
+    batched products then give each chunk's R and residuals, and one
+    Parseval reduction their norms.
     """
     _check_square(a)
     cfg = cfg or SolverConfig()
@@ -538,52 +551,29 @@ def t_subspace_iteration(a, num=None, x0=None, cfg=None, rng=None):
     # slot 0's R is read (and its change discarded) before any step fills it
     rs = np.zeros((_SCORE_CHUNK + 1, len(ahat), cols, cols), complex)
     np.matmul(ahat, _face_stack(x0, half), out=ys[0])
-    k = m = 0
-    fresh = True  # slot 1 is the first step: only its residual counts
-    err_trace = []
-    resid_trace = []
-    err = np.inf
-    stall = _StallDetector()
+    changes = []  # the change of tril(R) at each step; step 1 has none to make
 
-    def result(j, reason):
+    def result(j, iterations, reason, trace):
         u, rr = (Tensor3(_from_face_stack(x[j], n, half), real=half) for x in (qs, rs))
-        return SchurResult(u, rr, k - m + j, reason != "cap", reason, err_trace, resid_trace)
+        return SchurResult(u, rr, iterations, reason != "cap", reason,
+                           changes[1:iterations], trace)
 
-    def score():
-        """Replay the stop tests of pending steps 1..m in order: the result
-        of the step that stops, else None with step m moved to slot 0."""
-        nonlocal m, fresh, err
+    def take(m):
+        for j in range(1, m + 1):
+            y = ys[j - 1]
+            for _ in range(cfg.power_index - 1):
+                y = ahat @ y
+            qs[j] = facewise_qr(y, "reduced")[0]
+            np.matmul(ahat, qs[j], out=ys[j])
         lo, hi = slice(0, m), slice(1, m + 1)
         np.matmul(np.conj(np.swapaxes(qs[hi], 2, 3)), ys[hi], out=rs[hi])
         norms = parseval_norms(weights, ys[hi] - qs[hi] @ rs[hi], rs[hi],
                                np.where(lower, rs[hi] - rs[lo], 0))
-        for j, (resid, rnorm, change) in enumerate(norms, 1):
-            resid_trace.append(resid)
-            if j == 1 and fresh:
-                continue
-            err = change
-            scale = max(1.0, rnorm)
-            err_trace.append(err)
-            if err <= cfg.tol * scale:
-                return result(j, "tol")
-            if stall.converged(err / scale):
-                return result(j, "stall")
-        qs[0], ys[0], rs[0] = qs[m], ys[m], rs[m]
-        m, fresh = 0, False
-        return None
+        changes.extend(change for _, _, change in norms)
+        return [(resid, change <= cfg.tol * max(1.0, rnorm), change / max(1.0, rnorm))
+                for resid, rnorm, change in norms], None
 
-    while True:
-        if m == _SCORE_CHUNK or k == cfg.iter_max:
-            if m and (stop := score()):
-                return stop
-            if k == cfg.iter_max:
-                raise NoConvergence(k, err, result=result(0, "cap"))
-        y = ys[m]
-        for _ in range(cfg.power_index - 1):
-            y = ahat @ y
-        k, m = k + 1, m + 1
-        qs[m] = facewise_qr(y, "reduced")[0]
-        np.matmul(ahat, qs[m], out=ys[m])
+    return _iterate(cfg, (qs, ys, rs), take, result)
 
 
 # ---------------------------------------------------------------------------

@@ -120,8 +120,14 @@ def test_run_table_t3_writes_outputs(tmp_path):
     assert [r[-1] for r in rows[1:]] == [f"{rep.wall_time:.3f}" for rep in reports]
     manifest = json.loads((tmp_path / "t3_manifest.json").read_text())
     assert [row["tensor"] for row in manifest["rows"]] == ["tridiag", "complex"]
-    traces = list(tmp_path.glob("t3_*.trace.csv"))
-    assert len(traces) == len(reports)
+    # each trace lives only in its row's trace file
+    assert not any({"residual_trace", "error_trace"} & set(row) for row in manifest["rows"])
+    assert len(list(tmp_path.glob("t3_*.trace.csv"))) == len(reports)
+    for rep in reports:
+        with open(tmp_path / f"t3_{rep.tensor}_{rep.method}.trace.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["iteration", "residual", "error"]
+        assert [float(r[1]) for r in rows[1:]] == rep.residual_trace
 
 
 def test_run_table_t2_rows(tmp_path):
@@ -263,6 +269,9 @@ def test_cli_run_single(tmp_path, capsys):
     doc = json.loads((tmp_path / "stochastic_t-pm.json").read_text())
     assert doc["converged"] is True
     assert doc["res_norm"] <= 1e-12
+    with open(tmp_path / "stochastic_t-pm.trace.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 1 + doc["iterations"]
     # without --tol the run keeps the config's default
     assert doc["config"]["tol"] == SolverConfig().tol
 

@@ -774,6 +774,23 @@ def test_power_real_and_complex_start_agree(rng):
     assert (half.eigentube - full.eigentube).norm() <= 1e-10
 
 
+@pytest.mark.parametrize("solver", ["power", "inverse_power", "subspace"])
+def test_cap_reports_the_last_residual(solver):
+    # the message's "last residual" is the last entry of the residual
+    # trace, not the subspace iteration's last change of tril(R)
+    a = make_tensor("tridiag")
+    cfg = SolverConfig(iter_max=20)
+    solve = {
+        "power": lambda: t_power(a, cfg=cfg),
+        "inverse_power": lambda: t_inverse_power(a, Tube(np.eye(1, a.n)[0] * 1e-3), cfg=cfg),
+        "subspace": lambda: t_subspace_iteration(a, num=4, cfg=cfg),
+    }[solver]
+    with pytest.raises(NoConvergence) as info:
+        solve()
+    assert info.value.iterations == 20
+    assert info.value.last_residual == info.value.result.residual_trace[-1]
+
+
 @pytest.mark.parametrize("iter_max", [1, 2])
 @pytest.mark.parametrize("real", [True, False])
 def test_subspace_partial_result_is_spatial(rng, iter_max, real):
