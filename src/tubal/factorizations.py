@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-from numpy.linalg import _umath_linalg
+from numpy.linalg._umath_linalg import qr_complete, qr_r_raw, qr_reduced
 
 from .errors import (
     DefectiveFace,
@@ -99,9 +99,29 @@ def _qr_error(err, flag):
     raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
 
 
+#: ``np.linalg.qr``'s error handling: a failed LAPACK call raises LinAlgError.
+_QR_ERRSTATE = dict(call=_qr_error, invalid="call", over="ignore", divide="ignore", under="ignore")
+_TINY = np.finfo(float).tiny
+
+
 @functools.cache
 def _strictly_lower(rows, cols):
     return np.tri(rows, cols, -1, dtype=bool)
+
+
+def _phased_q(a, full, out):
+    """:func:`facewise_qr`'s Q of the float64 or complex128 stack ``a`` into
+    ``out``; returns the phases. Needs ``np.errstate(**_QR_ERRSTATE)``."""
+    tau = qr_r_raw(a)  # overwrites a with R and the reflectors
+    (qr_complete if full else qr_reduced)(a, tau, out=out)
+    d = a.diagonal(0, 1, 2)
+    mag = np.abs(d)
+    # dividing by a subnormal magnitude overflows; such an entry keeps phase 1
+    phase = np.divide(d, mag, out=np.ones_like(d), where=mag >= _TINY).astype(complex, copy=False)
+    if out.shape[2] > phase.shape[1]:  # Q's columns past R's diagonal keep phase 1
+        phase = np.concatenate([phase, np.ones((len(phase), out.shape[2] - phase.shape[1]))], axis=1)
+    np.multiply(out, phase[:, None, :], out=out)
+    return phase
 
 
 def facewise_qr(stack, mode):
@@ -110,37 +130,29 @@ def facewise_qr(stack, mode):
     ``mode`` is ``"complete"`` or ``"reduced"`` as for
     :func:`numpy.linalg.qr`. Each face pair is normalized so the diagonal
     of R is real nonnegative, which makes it unique, gives conjugate faces
-    conjugate factors, and lets fixed-point iterations built on this kernel
-    become exactly stationary. Returns the complex Q and R stacks.
+    conjugate factors, and keeps the iterates of methods built on this
+    kernel bit-stable, as their stop tests need. Returns complex Q and R.
 
     LAPACK's QR (``geqrf``, then ``orgqr`` / ``ungqr``) runs through the
     gufuncs behind ``np.linalg.qr``, one call each for the whole stack, with
     that function's error handling but not its wrapper costs: float64 and
     complex128 stacks get its factors bit for bit. Single-precision stacks
-    are factored in double precision and not rounded back.
+    are factored in double precision and not rounded back. The calls and the
+    phase fix are :func:`_phased_q`; subspace iteration takes Q alone from
+    it, into its slots under one errstate per chunk, and R from Q^H * Y.
     """
     if mode not in ("complete", "reduced"):
         raise ValueError(f"unknown QR mode {mode!r}")
     # a copy: geqrf overwrites its input with R and the reflectors
     a = np.array(stack, dtype=complex if np.iscomplexobj(stack) else float)
-    rows, cols = a.shape[1:]
-    t = "D" if a.dtype == complex else "d"
+    faces, rows, cols = a.shape
     full = mode == "complete" and rows > cols
-    with np.errstate(call=_qr_error, invalid="call",
-                     over="ignore", divide="ignore", under="ignore"):
-        tau = _umath_linalg.qr_r_raw(a, signature=f"{t}->{t}")
-        q = (_umath_linalg.qr_complete if full else _umath_linalg.qr_reduced)(
-            a, tau, signature=f"{t}{t}->{t}")
-    k = q.shape[2]
+    k = rows if full else min(rows, cols)
+    q = np.empty((faces, rows, k), complex)
+    with np.errstate(**_QR_ERRSTATE):
+        phase = _phased_q(a, full, q)
     r = np.where(_strictly_lower(k, cols), 0, a[:, :k])
-    d = r.diagonal(0, 1, 2)
-    mag = np.abs(d)
-    # dividing by a subnormal magnitude overflows; such an entry keeps phase 1
-    ok = mag >= np.finfo(float).tiny
-    phase = np.divide(d, mag, out=np.ones_like(d), where=ok).astype(complex, copy=False)
-    if k > phase.shape[1]:
-        phase = np.concatenate([phase, np.ones((len(phase), k - phase.shape[1]))], axis=1)
-    return q * phase[:, None, :], np.conj(phase)[:, :, None] * r
+    return q, np.conj(phase)[:, :, None] * r
 
 
 def t_qr(a, mode="complete"):

@@ -25,7 +25,8 @@ from .errors import (
     SingularShift,
     ZeroSlice,
 )
-from .factorizations import _facewise_inverse, eigenslice_for, facewise_qr, t_hess
+from .factorizations import (_QR_ERRSTATE, _facewise_inverse, _phased_q, eigenslice_for,
+                             facewise_qr, t_hess)
 from .tensors import (
     Tensor3,
     _check_square,
@@ -515,14 +516,14 @@ def t_subspace_iteration(a, num=None, x0=None, cfg=None, rng=None):
     holds 1 to p slices; given both, ``num`` must be the width of ``x0``.
 
     The iterate X, the product Y = A * X and R stay Fourier face stacks for
-    the whole run, the leading n // 2 + 1 faces when A and X0 are real: a
-    step is one :func:`facewise_qr` call and the power products, Y serves as
-    the next step's first power application, every norm is taken from the
-    stacks by Parseval, and only the returned tensors are transformed back.
-    No step reads R or the stopping metrics, so :func:`_iterate` runs the
-    steps in chunks: a step fills one slot of the X and Y stacks, and
-    batched products then give each chunk's R and residuals, and one
-    Parseval reduction their norms.
+    the whole run, the leading n // 2 + 1 faces when A and X0 are real; only
+    the returned tensors are transformed back. A step is the power products
+    and one Q-only phased QR (:func:`facewise_qr`'s core) into its slot of
+    X; its Y is the next step's first product. No step reads R or the stop
+    metrics, so :func:`_iterate` runs the steps in chunks under one
+    ``np.errstate``, and batched products give each chunk's R (X^H * Y), its
+    residuals and, in one Parseval reduction, their norms. Q keeps its phase
+    fix: the stop tests need bit-stable iterates.
     """
     _check_square(a)
     cfg = cfg or SolverConfig()
@@ -548,6 +549,7 @@ def t_subspace_iteration(a, num=None, x0=None, cfg=None, rng=None):
     lower = np.tri(cols, dtype=bool)
     qs = np.empty((_SCORE_CHUNK + 1, len(ahat), a.p, cols), complex)
     ys = np.empty_like(qs)
+    y = np.empty_like(qs[0])  # the QR input, which LAPACK overwrites
     # slot 0's R is read (and its change discarded) before any step fills it
     rs = np.zeros((_SCORE_CHUNK + 1, len(ahat), cols, cols), complex)
     np.matmul(ahat, _face_stack(x0, half), out=ys[0])
@@ -559,12 +561,13 @@ def t_subspace_iteration(a, num=None, x0=None, cfg=None, rng=None):
                            changes[1:iterations], trace)
 
     def take(m):
-        for j in range(1, m + 1):
-            y = ys[j - 1]
-            for _ in range(cfg.power_index - 1):
-                y = ahat @ y
-            qs[j] = facewise_qr(y, "reduced")[0]
-            np.matmul(ahat, qs[j], out=ys[j])
+        with np.errstate(**_QR_ERRSTATE):
+            for j in range(1, m + 1):
+                np.copyto(y, ys[j - 1])
+                for _ in range(cfg.power_index - 1):
+                    np.matmul(ahat, y, out=y)
+                _phased_q(y, False, qs[j])
+                np.matmul(ahat, qs[j], out=ys[j])
         lo, hi = slice(0, m), slice(1, m + 1)
         np.matmul(np.conj(np.swapaxes(qs[hi], 2, 3)), ys[hi], out=rs[hi])
         norms = parseval_norms(weights, ys[hi] - qs[hi] @ rs[hi], rs[hi],

@@ -41,7 +41,7 @@ from tubal import (
     zeros,
 )
 from tubal.experiments import STOCHASTIC_FACES, TestTensorSpec, make_tensor
-from tubal.factorizations import _maybe_real_tubes, _sort_face_eigs
+from tubal.factorizations import _QR_ERRSTATE, _maybe_real_tubes, _phased_q, _sort_face_eigs
 from tubal.tensors import _face_stack, _from_face_stack
 from tubal.tubes import conjugate_even
 
@@ -142,13 +142,29 @@ def _numpy_qr_normalized(stack, mode):
     return q * phase[:, None, :], np.conj(phase)[:, :, None] * r
 
 
+def _core_q(stack, mode):
+    """Q of the Q-only core, written into an out= slot, and its phases."""
+    a = np.array(stack, dtype=complex if np.iscomplexobj(stack) else float)
+    faces, rows, cols = a.shape
+    full = mode == "complete" and rows > cols
+    out = np.empty((faces, rows, rows if full else min(rows, cols)), complex)
+    with np.errstate(**_QR_ERRSTATE):
+        phase = _phased_q(a, full, out)
+    return out, phase
+
+
+_QR_SHAPES = [(1, 3, 5), (4, 3, 5), (1, 4, 4), (6, 4, 4), (1, 6, 3), (5, 6, 3)]
+
+
 @pytest.mark.parametrize("mode", ["complete", "reduced"])
-@pytest.mark.parametrize("shape", [(1, 3, 5), (4, 3, 5), (1, 4, 4), (6, 4, 4), (1, 6, 3), (5, 6, 3)])
+@pytest.mark.parametrize("shape", _QR_SHAPES)
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 @pytest.mark.parametrize("zero_column", [False, True])
 def test_facewise_qr_matches_numpy_qr_bitwise(rng, mode, shape, dtype, zero_column):
     # facewise_qr calls the LAPACK gufuncs behind np.linalg.qr directly; a
-    # numpy whose QR differs from them, even in the last bit, fails here
+    # numpy whose QR differs from them, even in the last bit, fails here.
+    # Subspace iteration writes the Q-only core's Q into its slots: it must
+    # be facewise_qr's Q bit for bit
     stack = rng.standard_normal(shape).astype(dtype)
     if dtype is np.complex128:
         stack += 1j * rng.standard_normal(shape)
@@ -158,6 +174,7 @@ def test_facewise_qr_matches_numpy_qr_bitwise(rng, mode, shape, dtype, zero_colu
     q, r = facewise_qr(stack, mode)
     q_ref, r_ref = _numpy_qr_normalized(stack, mode)
     assert np.array_equal(stack, before)
+    assert _core_q(stack, mode)[0].tobytes() == q.tobytes()
     for got, want in ((q, q_ref), (r, r_ref)):
         assert got.dtype == want.dtype == np.complex128
         assert got.shape == want.shape
@@ -166,6 +183,25 @@ def test_facewise_qr_matches_numpy_qr_bitwise(rng, mode, shape, dtype, zero_colu
         # a zero diagonal entry of R keeps numpy's column: its phase is 1
         assert r[-1, 0, 0] == 0.0
         assert np.array_equal(q[-1, :, 0], np.linalg.qr(stack[-1], mode=mode)[0][:, 0])
+
+
+@pytest.mark.parametrize("mode", ["complete", "reduced"])
+@pytest.mark.parametrize("shape", _QR_SHAPES)
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_facewise_qr_keeps_phase_one_on_a_subnormal_diagonal(rng, mode, shape, dtype):
+    # R's first diagonal entry on the last face is this subnormal: d / |d|
+    # would be -1, but below the smallest normal float the phase stays 1,
+    # in facewise_qr and in the Q-only core alike
+    stack = rng.standard_normal(shape).astype(dtype)
+    if dtype is np.complex128:
+        stack += 1j * rng.standard_normal(shape)
+    stack[-1, :, 0] = 0.0
+    stack[-1, 0, 0] = -1e-310
+    q, r = facewise_qr(stack, mode)
+    out, phase = _core_q(stack, mode)
+    assert out.tobytes() == q.tobytes()
+    assert r[-1, 0, 0] == -1e-310 and phase[-1, 0] == 1
+    assert np.array_equal(q[-1, :, 0], np.linalg.qr(stack[-1], mode=mode)[0][:, 0])
 
 
 def test_facewise_qr_rejects_unknown_mode(rng):

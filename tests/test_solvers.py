@@ -24,6 +24,7 @@ from tubal import (
     eigenslice_for,
     f_diagonal,
     f_tril,
+    facewise_qr,
     fourier_norm,
     identity,
     slice_inner,
@@ -43,6 +44,7 @@ from tubal import (
 )
 from tubal import factorizations, solvers
 from tubal.experiments import make_tensor
+from tubal.tensors import _face_stack, _from_face_stack, parseval_norms, parseval_weights
 
 
 def spectral_distance(tubes, exact):
@@ -386,6 +388,98 @@ def test_subspace_chunked_scoring_matches_per_step_scoring(kind, tol, power_inde
         assert chunked[-1][2] == "stall"
     monkeypatch.setattr(solvers, "_SCORE_CHUNK", 1)
     assert [bits(c) for c in caps] == chunked
+
+
+# A plain per-step subspace loop on the public facewise QR: the power
+# products, Q of facewise_qr, Y = A * Q, R = Q^H * Y and the stop tests of
+# one step at a time. Kept as the reference for the chunked loop, whose
+# steps write Q straight into their slots.
+
+
+def _reference_subspace_bits(a, x0, cfg):
+    half = a.is_real and x0.is_real
+    ahat = _face_stack(a, half)
+    weights = parseval_weights(a.n, len(ahat))
+    lower = np.tri(x0.p, dtype=bool)
+    y = ahat @ _face_stack(x0, half)
+    r_old = np.zeros((len(ahat), x0.p, x0.p), complex)
+    trace, changes, best, stalled = [], [], np.inf, 0
+    reason = "cap"
+    for k in range(1, cfg.iter_max + 1):
+        for _ in range(cfg.power_index - 1):
+            y = ahat @ y
+        q = facewise_qr(y, "reduced")[0]
+        y = ahat @ q
+        r = np.conj(np.swapaxes(q, 1, 2)) @ y
+        resid, rnorm, change = parseval_norms(weights, y - q @ r, r, np.where(lower, r - r_old, 0))
+        trace.append(resid)
+        changes.append(change)
+        r_old = r
+        if k == 1:
+            continue
+        if change <= cfg.tol * max(1.0, rnorm):
+            reason = "tol"
+            break
+        metric = change / max(1.0, rnorm)
+        if metric < 0.9 * best:
+            best, stalled = metric, 0
+            continue
+        stalled += 1
+        if stalled >= solvers.STALL_WINDOW and best <= solvers.STALL_CEILING:
+            reason = "stall"
+            break
+    u, rr = (Tensor3(_from_face_stack(x, a.n, half), real=half) for x in (q, r))
+    return (
+        k if reason == "cap" else None, k, reason, u.data.tobytes(), rr.data.tobytes(),
+        np.array(changes[1:k]).tobytes(), np.array(trace).tobytes(),
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, num, power_index, given, tol",
+    [
+        ("tridiag", 4, 1, False, 1e-15),
+        ("tridiag", 4, 1, False, 1e-300),
+        ("tridiag", 1, 2, True, 1e-15),
+        ("complex", 4, 1, False, 1e-15),
+        ("complex", 1, 4, False, 1e-15),
+        ("complex", 10, 2, True, 1e-15),
+        ("odd_real", 5, 4, False, 1e-15),
+        ("odd_real", 1, 1, True, 1e-15),
+        ("odd_complex", 4, 2, True, 1e-15),
+    ],
+)
+def test_subspace_matches_per_step_reference(kind, num, power_index, given, tol):
+    # caps at, next to and across the chunk boundaries of 16 steps, and the
+    # default cap, where the runs stop on the tol test, the stall detector
+    # (tol 1e-300) or the cap; odd_* are random 5 x 5 x 5 tensors (p = 5)
+    rng = np.random.default_rng(5)
+    if kind.startswith("odd"):
+        a = random_tensor(rng, 5, 5, 5, real=kind == "odd_real")
+    else:
+        a = make_tensor(kind)
+    x0 = random_tensor(rng, a.p, num, a.n, real=a.is_real) if given else None
+    # the solver draws its start from the default rng_seed 0
+    start = x0 or solvers.random_slice_set(a.p, num, a.n, a.is_real, np.random.default_rng(0))
+    for cap in (1, 2, 15, 16, 17, 33, 3000):
+        cfg = SolverConfig(tol=tol, iter_max=cap, power_index=power_index)
+        got = _schur_bits(lambda: t_subspace_iteration(a, num=num, x0=x0, cfg=cfg))
+        assert got == _reference_subspace_bits(a, start, cfg), cap
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_subspace_nan_tensor_runs_to_the_cap(real):
+    # NaNs pass through the QR and the products without an error or a
+    # warning; the stop tests never pass on them
+    data = random_tensor(np.random.default_rng(0), 6, 6, 4, real=real).data.copy()
+    data[2, 3, 1] = np.nan
+    a = Tensor3(data, real=real)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoConvergence) as info:
+            t_subspace_iteration(a, num=2, cfg=SolverConfig(iter_max=40))
+    assert info.value.iterations == 40
+    assert np.isnan(info.value.last_residual)
 
 
 def test_power_nan_tensor_raises_division_failure():
