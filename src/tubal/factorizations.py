@@ -6,8 +6,7 @@ the factors back with :func:`~tubal.tensors._from_face_stack`. For real
 tensors that stack holds only the leading n // 2 + 1 faces (``rfft``); the
 rest are their conjugates, so the spatial factors come out exactly real,
 and per-face values that become tubes are mirrored to all n faces.
-:func:`eigenslice_for`, :func:`t_null_basis` and :func:`in_range` take all
-n faces: they gate and phase-fix each face's vectors before stitching.
+Eigenslices of a real tensor for a complex eigentube take all n faces.
 """
 
 from __future__ import annotations
@@ -26,8 +25,7 @@ from .errors import (
     SingularFace,
 )
 from .tensors import (
-    Tensor3, _check_square, _face_stack, _from_face_stack, identity, slice_normalize,
-    tensor_tube_mul,
+    Tensor3, _check_square, _face_stack, _from_face_stack, identity, tensor_tube_mul,
 )
 from .tubes import Tube, conjugate_even
 
@@ -62,16 +60,17 @@ def _first_bad_face(bad):
     return int(np.argmax(bad)) if bad.any() else None
 
 
-def _phase_fix(vs):
-    """Rotate each row of ``vs`` so its largest entry is real positive; ties
-    take the smallest index. Keeps stitched eigenvectors deterministic and
-    lets conjugate faces produce conjugate vectors."""
-    pivot = vs[np.arange(len(vs)), np.argmax(np.abs(vs), axis=1)]
+def _lateral_slices(vecs, n, half):
+    """The k lateral slices of a (k, faces, l) stack ``vecs``: slice j has
+    Fourier face f ``vecs[j, f]``, rotated so its largest entry (the first
+    of ties) is real positive, which makes the slices deterministic. With
+    ``half`` (leading faces of a real tensor) they are exactly real."""
+    pivot = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=2)[:, :, None], axis=2)
     # hypot rounds like the scalar abs; numpy's vectorized complex abs can
-    # differ from it in the last bit
+    # differ from it in the last bit. It is never 0: the vectors are unit.
     mag = np.hypot(pivot.real, pivot.imag)
-    nz = mag > 0
-    return vs * np.where(nz, np.conj(pivot) / np.where(nz, mag, 1.0), 1.0)[:, None]
+    data = _from_face_stack(np.moveaxis(vecs * (np.conj(pivot) / mag), 0, 2), n, half)
+    return [Tensor3(data[:, j : j + 1]) for j in range(len(vecs))]
 
 
 def _maybe_real_tubes(cols_hat):
@@ -410,14 +409,33 @@ def spectrum_of(a):
 # eigenslices
 
 
-def _slice_from_columns(cols, real):
-    """Lateral slice whose row tubes have the Fourier entries in the rows of
-    the (p, n) array ``cols``; for a ``real`` tensor it is snapped to real
-    when every row is conjugate-even."""
-    data = np.fft.ifft(cols, axis=1)
-    if real and conjugate_even(cols.T, tol=1e-10):
-        data = data.real
-    return Tensor3(data[:, None, :])
+def _eigenslices(a, lams, gate=1e-8, defect_tol=1e-8):
+    """:func:`eigenslice_for` of each tube of ``lams``: one transform of A
+    (its leading faces when A and every tube are real), one eigenvalue call
+    for the gate and one batched SVD of every A_hat_f - lambda_hat_{k,f} I.
+    Raises for the first failing face of the first failing tube."""
+    if not lams:
+        return []
+    tubes = Tensor3([[lam.spatial_values for lam in lams]])
+    if tubes.n != a.n:
+        raise DimensionMismatch("tubes", a.n, tubes.n)
+    half = a.is_real and tubes.is_real
+    stack = _face_stack(a, half)
+    lam_hat = _face_stack(tubes, half)[:, 0].T  # (tubes, faces)
+    evals = _face_eigvals(stack)
+    scale = np.maximum(1.0, np.abs(evals).max(axis=1))
+    dist = np.abs(evals - lam_hat[:, :, None]).min(axis=2)
+    _, s, vh = np.linalg.svd(stack - lam_hat[:, :, None, None] * np.eye(a.p))
+    smin = s[:, :, -1]
+    far = dist > gate * scale
+    defective = smin > defect_tol * np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
+    i = _first_bad_face((far | defective).ravel())
+    if i is not None:
+        k, f = divmod(i, len(stack))
+        if far[k, f]:
+            raise NotAnEigentube(f, float(dist[k, f]))
+        raise DefectiveFace(f, float(smin[k, f]))
+    return _lateral_slices(np.conj(vh[:, :, -1]), a.n, half)
 
 
 def eigenslice_for(a, lam, gate=1e-8, defect_tol=1e-8):
@@ -427,27 +445,12 @@ def eigenslice_for(a, lam, gate=1e-8, defect_tol=1e-8):
     within ``gate`` (relative to the face spectrum), else
     :class:`NotAnEigentube`; when the shifted face has no small singular
     value the eigenvector is not recoverable and :class:`DefectiveFace` is
-    raised. The result is normalized so its bilinear self-product is the
+    raised; a tube of another length, :class:`DimensionMismatch`. Every
+    face holds a unit vector, so the result's bilinear self-product is the
     unit tube.
     """
     _check_square(a)
-    stack = a.fourier_faces()
-    lam_hat = lam.fourier_values
-    evals = np.linalg.eigvals(stack)
-    scale = np.maximum(1.0, np.abs(evals).max(axis=1))
-    dist = np.abs(evals - lam_hat[:, None]).min(axis=1)
-    _, s, vh = np.linalg.svd(stack - lam_hat[:, None, None] * np.eye(a.p))
-    smin = s[:, -1]
-    far = dist > gate * scale
-    defective = smin > defect_tol * np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
-    f = _first_bad_face(far | defective)
-    if f is not None:
-        if far[f]:
-            raise NotAnEigentube(f, float(dist[f]))
-        raise DefectiveFace(f, float(smin[f]))
-    cols = _phase_fix(np.conj(vh[:, -1])).T
-    x, _ = slice_normalize(_slice_from_columns(cols, a.is_real))
-    return x
+    return _eigenslices(a, [lam], gate, defect_tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -490,15 +493,12 @@ def t_null_basis(a, rtol=NULL_RTOL):
     Returns a (possibly empty) list of lateral slices X with A * X almost
     zero.
     """
-    p = a.p
-    _, s, vh = np.linalg.svd(a.fourier_faces())
+    _, s, vh = np.linalg.svd(_face_stack(a, a.is_real))
     smax = s.max(axis=1)
     gate = np.where(smax > 0, rtol * smax, np.inf)
-    r = int((p - s.shape[1] + (s <= gate[:, None]).sum(axis=1)).min())
-    return [
-        _slice_from_columns(_phase_fix(np.conj(vh[:, p - j])).T, a.is_real)
-        for j in range(1, r + 1)
-    ]
+    r = int((a.p - s.shape[1] + (s <= gate[:, None]).sum(axis=1)).min())
+    vecs = np.conj(np.moveaxis(vh[:, ::-1][:, :r], 1, 0))
+    return _lateral_slices(vecs, a.n, a.is_real)
 
 
 def in_range(a, y, rtol=NULL_RTOL):
@@ -507,8 +507,9 @@ def in_range(a, y, rtol=NULL_RTOL):
         raise DimensionMismatch("columns", y.p, 1)
     if a.l != y.l or a.n != y.n:
         raise DimensionMismatch("rows", (a.l, a.n), (y.l, y.n))
-    u, s, _ = np.linalg.svd(a.fourier_faces(), full_matrices=False)
-    ys = y.fourier_faces()  # (n, l, 1)
+    half = a.is_real and y.is_real
+    u, s, _ = np.linalg.svd(_face_stack(a, half), full_matrices=False)
+    ys = _face_stack(y, half)  # (faces, l, 1)
     keep = s > rtol * s.max(axis=1, keepdims=True)  # the facewise range
     uh_y = keep[:, :, None] * (np.conj(np.swapaxes(u, 1, 2)) @ ys)
     resid = np.linalg.norm((ys - u @ uh_y)[:, :, 0], axis=1)

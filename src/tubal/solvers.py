@@ -25,7 +25,7 @@ from .errors import (
     SingularShift,
     ZeroSlice,
 )
-from .factorizations import (_QR_ERRSTATE, _facewise_inverse, _phased_q, eigenslice_for,
+from .factorizations import (_QR_ERRSTATE, _eigenslices, _facewise_inverse, _phased_q,
                              facewise_qr, t_hess)
 from .tensors import (
     Tensor3,
@@ -422,8 +422,9 @@ def deflated_power_sweep(a, num, cfg=None):
     eigenslice computed by a power iteration on the conjugate transpose
     (DLE), or the Schur slice obtained by orthonormalizing against the
     previous ones (DS). Deflation keeps the other eigentubes, so every
-    variant reports each stage's own eigentube together with an eigenslice
-    of the original tensor from :func:`eigenslice_for`, which raises
+    variant reports each stage's own eigentube with an eigenslice of the
+    original tensor. All stages are mapped back at the end by one call of
+    the kernel behind :func:`eigenslice_for`, which raises
     :class:`NotAnEigentube` or :class:`DefectiveFace` as described there.
     Eigentubes that meet on a Fourier face get that face's eigenslice
     entries from the same null space, so the stacked U = [x_1 x_2 ...] can
@@ -431,10 +432,9 @@ def deflated_power_sweep(a, num, cfg=None):
     a caller that inverts or orthogonalizes U must check its faces.
     A stage that hits the iteration cap raises :class:`NoConvergence`
     whose result lists the completed stages, mapped back as on success,
-    then the partial pair of the capped power iteration; when the left
-    iteration of a DLE stage hits the cap, that stage's converged right
-    pair is mapped back in its place, marked not converged with stop
-    reason "cap".
+    then the capped power iteration's partial pair, or, when a DLE stage's
+    left iteration hit the cap, that stage's right pair mapped back and
+    marked not converged with stop reason "cap".
     """
     _check_square(a)
     cfg = cfg or SolverConfig()
@@ -449,13 +449,12 @@ def deflated_power_sweep(a, num, cfg=None):
     stages = []  # the power pair of each completed stage
 
     def mapped_back():
-        pairs = []
-        for st in stages:
-            lam = st.eigentube
-            x = eigenslice_for(a, lam)
-            resid = (t_product(a, x) - tensor_tube_mul(x, lam)).frob_norm()
-            pairs.append(replace(st, eigenslice=x, residual_norm=resid))
-        return pairs
+        xs = _eigenslices(a, [st.eigentube for st in stages])
+        return [
+            replace(st, eigenslice=x,
+                    residual_norm=(t_product(a, x) - tensor_tube_mul(x, st.eigentube)).frob_norm())
+            for st, x in zip(stages, xs)
+        ]
 
     for stage in range(1, num + 1):
         pair = None

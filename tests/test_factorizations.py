@@ -11,6 +11,7 @@ from conftest import (
 )
 from tubal import (
     DefectiveFace,
+    DimensionMismatch,
     NotAnEigentube,
     SingularFace,
     Tensor3,
@@ -41,7 +42,9 @@ from tubal import (
     zeros,
 )
 from tubal.experiments import STOCHASTIC_FACES, TestTensorSpec, make_tensor
-from tubal.factorizations import _QR_ERRSTATE, _maybe_real_tubes, _phased_q, _sort_face_eigs
+from tubal.factorizations import (
+    _QR_ERRSTATE, _eigenslices, _maybe_real_tubes, _phased_q, _sort_face_eigs,
+)
 from tubal.tensors import _face_stack, _from_face_stack
 from tubal.tubes import conjugate_even
 
@@ -725,6 +728,41 @@ def test_eigenslice_rejects_non_eigentube(rng):
         eigenslice_for(a, bogus)
 
 
+@pytest.mark.parametrize("lam", [Tube([6.0]), Tube([6.0, 0.0])], ids=["length1", "length2"])
+def test_eigenslice_rejects_tube_of_another_length(lam):
+    data = np.zeros((2, 2, 3))
+    data[:, :, 0] = np.diag([6.0, 3.0])
+    with pytest.raises(DimensionMismatch) as info:
+        eigenslice_for(Tensor3(data), lam)
+    assert (info.value.axis, info.value.left, info.value.right) == ("tubes", 3, lam.n)
+
+
+def test_eigenslice_complex_eigentube_of_real_tensor(rng):
+    # face 0 of a real tensor is real, so a complex pair of its eigenvalues
+    # makes complex eigentubes, whose eigenslices need all n faces
+    a = random_tensor(rng, 4, 4, 5, real=True)
+    lams = [lam for lam in spectrum_of(a).eigentubes if not lam.is_real]
+    assert lams
+    for lam in lams:
+        u = eigenslice_for(a, lam)
+        assert not u.is_real
+        resid = t_product(a, u) - tensor_tube_mul(u, lam)
+        assert resid.frob_norm() <= 1e-8 * a.frob_norm()
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_eigenslices_batch_matches_single_tube(rng, real):
+    a = tridiag_tensor(p=4, n=4) if real else random_tensor(rng, 4, 4, 4)
+    lams = spectrum_of(a).eigentubes
+    xs = _eigenslices(a, lams)
+    assert len(xs) == len(lams)
+    for lam, x in zip(lams, xs):
+        assert x.data.tobytes() == eigenslice_for(a, lam).data.tobytes()
+        # real A and real tubes: stitched from the leading faces, so exactly real
+        assert (x.data.imag == 0).all() if real else not x.is_real
+    assert _eigenslices(a, []) == []
+
+
 def test_eigenslice_defective_face():
     j = np.array([[2.0, 1.0], [0.0, 2.0]])
     a = Tensor3(np.stack([j, j], axis=2))
@@ -818,6 +856,25 @@ def test_null_basis_shared_null_column(rng):
     assert len(basis) >= 1
     for x in basis:
         assert t_product(a, x).frob_norm() <= 1e-8 * a.frob_norm()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_null_basis_real_tensor_is_exactly_real(rng, n):
+    # a zero last column in every spatial face is one in every Fourier face
+    data = rng.standard_normal((4, 4, n))
+    data[:, 3, :] = 0.0
+    a = Tensor3(data)
+    basis = t_null_basis(a)
+    assert len(basis) == 1
+    for x in basis:
+        assert (x.data.imag == 0).all()
+        assert t_product(a, x).frob_norm() <= 1e-12 * a.frob_norm()
+
+
+def test_in_range_real(rng):
+    a = random_tensor(rng, 4, 2, 4, real=True)
+    assert in_range(a, t_product(a, random_tensor(rng, 2, 1, 4, real=True)))
+    assert not in_range(a, random_tensor(rng, 4, 1, 4, real=True))
 
 
 def test_in_range(rng):

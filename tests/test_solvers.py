@@ -796,6 +796,41 @@ def test_capped_left_iteration_keeps_right_pair(monkeypatch):
     assert pairs[1].iterations == right2
 
 
+@pytest.mark.parametrize("variant", ["DE", "DLE", "DS"])
+def test_sweep_capped_in_first_stage(variant):
+    with pytest.raises(NoConvergence) as info:
+        deflated_power_sweep(
+            make_tensor("realeig"), 3, cfg=SolverConfig(deflation_variant=variant, iter_max=5)
+        )
+    # no stage completed: the result is the capped power iteration's pair
+    (pair,) = info.value.result
+    assert not pair.converged and pair.stop_reason == "cap"
+    assert pair.iterations == info.value.iterations == 5
+
+
+@pytest.mark.parametrize("cap", [3000, 5, None], ids=["done", "first-stage", "later-stage"])
+@pytest.mark.parametrize("variant", ["DE", "DLE", "DS"])
+def test_sweep_maps_every_stage_back_in_one_call(monkeypatch, variant, cap):
+    a = make_tensor("realeig")
+    if cap is None:  # capped inside the last stage
+        full = deflated_power_sweep(a, 3, cfg=SolverConfig(deflation_variant=variant))
+        cap = max(p.iterations for p in full[:2]) + 1
+        assert cap <= full[2].iterations
+    calls = []
+    kernel = solvers._eigenslices
+
+    def counted(a, lams):
+        calls.append(len(lams))
+        return kernel(a, lams)
+
+    monkeypatch.setattr(solvers, "_eigenslices", counted)
+    try:
+        deflated_power_sweep(a, 3, cfg=SolverConfig(deflation_variant=variant, iter_max=cap))
+    except NoConvergence:
+        pass
+    assert len(calls) == 1
+
+
 def test_sweep_rejects_bad_count():
     with pytest.raises(ValueError):
         deflated_power_sweep(tridiag_tensor(), 11)
