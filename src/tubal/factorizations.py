@@ -425,9 +425,9 @@ def _eigenslices(a, lams, gate=1e-8, defect_tol=1e-8):
     evals = _face_eigvals(stack)
     scale = np.maximum(1.0, np.abs(evals).max(axis=1))
     dist = np.abs(evals - lam_hat[:, :, None]).min(axis=2)
-    _, s, vh = np.linalg.svd(stack - lam_hat[:, :, None, None] * np.eye(a.p))
+    far = ~(dist <= gate * scale)  # NaN is far; far pairs raise, shifted by 0 for LAPACK
+    _, s, vh = np.linalg.svd(stack - np.where(far, 0, lam_hat)[..., None, None] * np.eye(a.p))
     smin = s[:, :, -1]
-    far = dist > gate * scale
     defective = smin > defect_tol * np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
     i = _first_bad_face((far | defective).ravel())
     if i is not None:

@@ -32,6 +32,7 @@ from .tensors import (
     _check_square,
     _face_stack,
     _from_face_stack,
+    _parseval_norms,
     conj_transpose,
     parseval_norms,
     parseval_weights,
@@ -60,8 +61,10 @@ STAGNATION_LIMIT = 500
 STALL_WINDOW = 200
 STALL_CEILING = 1e-8
 
-#: Steps taken between two scorings (see :func:`_iterate`).
-_SCORE_CHUNK = 16
+#: Steps taken between two scorings (see :func:`_iterate`): cheap power
+#: steps take long chunks, while subspace chunks of 32 ran slower than 16.
+_POWER_CHUNK = 64
+_SUBSPACE_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -159,11 +162,12 @@ def _iterate(cfg, slots, take, result):
     :func:`t_subspace_iteration`: apply the operator, renormalize, and stop
     once the iterates stabilize.
 
-    Each round asks ``take(m)`` for m = ``_SCORE_CHUNK`` steps (fewer
-    before the cap). The solver takes them speculatively into slots 1..m
-    of its ``slots`` stacks, slot 0 holding the last scored step or a start
-    slice, and returns a row (residual, tol test passed, stall metric) for
-    each step it keeps, from one batched Parseval reduction, together with
+    Each round asks ``take(m)`` for m = ``len(slots[0]) - 1`` steps, the
+    chunk length the solver sized its stacks for (fewer before the cap).
+    The solver takes them speculatively into slots 1..m of its ``slots``
+    stacks, slot 0 holding the last scored step or a start slice, and
+    returns a row (residual, tol test passed, stall metric) for each step
+    it keeps, from one batched Parseval reduction, together with
     ``recover``: None when it kept every step, else the repair of the first
     dropped one. The rows are replayed in step order: every residual joins
     the trace, and the first step to pass the tol test, or the stall test
@@ -179,10 +183,10 @@ def _iterate(cfg, slots, take, result):
     restart, a raise or the cap, so the results, traces and random draws
     are those of checking and scoring each step as it is taken.
     """
-    k, fresh, trace = 0, True, []
+    k, fresh, trace, chunk = 0, True, [], len(slots[0]) - 1
     best, stalled = np.inf, 0
     while True:
-        rows, recover = take(min(_SCORE_CHUNK, cfg.iter_max - k))
+        rows, recover = take(min(chunk, cfg.iter_max - k))
         for j, (resid, ok, metric) in enumerate(rows, 1):
             trace.append(resid)
             if j == 1 and fresh:
@@ -226,13 +230,13 @@ def _power_loop(a, v0, sigma, cfg, rng):
     is transformed back. Random start and restart slices are real when A
     and sigma are.
 
-    A step is a division by the current anchor row and a product into the
-    v and w stacks (w slot j + 1: B * v of step j). Once per chunk, one
-    batched check takes the steps' row norms and divisor gates and drops
-    the first step whose anchor row fell below a tenth of the largest, or
-    whose alpha fails the gate, with every later step; its recovery moves
-    the anchor, restarts, or raises. The kept steps are scored with one
-    batched product for their residuals against A when B is the inverse.
+    A step divides by the anchor row, through each slot's divisor view
+    (rebuilt when the anchor moves), and multiplies into the v and w stacks
+    (w slot j + 1: B * v of step j). Once per ``_POWER_CHUNK`` steps one
+    batched check of their row norms and divisor gates drops the first step
+    whose anchor row fell below a tenth of the largest, or whose alpha fails
+    the gate, and every later step; its recovery moves the anchor, restarts
+    or raises. Kept steps' rows are array operations on their batched norms.
     """
     _check_square(a)
     cfg = cfg or SolverConfig()
@@ -254,21 +258,25 @@ def _power_loop(a, v0, sigma, cfg, rng):
             raise SingularShift(f"face {exc.face_index}: shifted tensor is singular") from exc
     weights = parseval_weights(n, len(ahat))
     # step j divides the w in slot j, B * v of step j - 1
-    ws = np.empty((_SCORE_CHUNK + 2, len(ahat), p, 1), complex)
+    ws = np.empty((_POWER_CHUNK + 2, len(ahat), p, 1), complex)
     vs = np.empty_like(ws[1:])
     alphas = np.zeros(vs.shape[:2], complex)
     lams = alphas if sigma is None else np.zeros_like(alphas)
     wl, vl = list(ws), list(vs)  # slot views: slicing costs as much as a step
-    restarts = 0
+    restarts, anchor, divisors = 0, None, None
 
     def row_norms(w):
         return np.sqrt(weights @ (w.real**2 + w.imag**2)[..., 0])
 
+    def move(row):  # anchor the steps at row, with each slot's divisor view
+        nonlocal anchor, divisors
+        anchor, divisors = row, [w[:, row : row + 1] for w in wl]
+
     def start(v):
-        """Put v in slot 0; return the anchor, the largest row of its w."""
+        """Put v in slot 0 and anchor at the largest row of its w."""
         vs[0] = _face_stack(v, half)
         np.matmul(op, vs[0], out=ws[1])
-        return int(np.argmax(row_norms(ws[1])))
+        move(int(np.argmax(row_norms(ws[1]))))
 
     def result(j, iterations, reason, trace):
         lam = lams[j] if trace else None  # no eigentube before a step is scored
@@ -278,17 +286,16 @@ def _power_loop(a, v0, sigma, cfg, rng):
         return EigenPair(tube, v, resid, iterations, reason != "cap", reason, trace)
 
     def take(m):
-        nonlocal anchor
         # a step after a failing one divides by zero or NaN; it is dropped
         with np.errstate(all="ignore"):
             for j in range(1, m + 1):
-                w = wl[j]
-                np.divide(w, w[:, anchor : anchor + 1], out=vl[j])
+                np.divide(wl[j], divisors[j], out=vl[j])
                 np.matmul(op, vl[j], out=wl[j + 1])
             taken = ws[1 : m + 1]
             rows = row_norms(taken)
             top = np.maximum.reduce(rows, -1)
-            mags = np.abs(taken[:, :, anchor, 0])
+            tubes = taken[:, :, anchor, 0]
+            mags = np.abs(tubes)
             # the anchor row is kept while its norm stays above a tenth of
             # the largest: rows of the limiting eigenslice can trade the
             # argmax back and forth (tube norms are not multiplicative), and
@@ -301,22 +308,25 @@ def _power_loop(a, v0, sigma, cfg, rng):
         scored = []
         if s:
             lo, hi = slice(0, s), slice(1, s + 1)
-            alphas[hi] = taken[:s, :, anchor, 0]
+            alphas[hi] = tubes[:s]
             if sigma is not None:
                 lams[hi] = 1.0 / alphas[hi] + sig
             al = alphas[:, :, None, None]
             avs = ws[2 : s + 2] if sigma is None else ahat @ vs[hi]
-            norms = parseval_norms(weights, avs - vs[hi] * lams[hi, :, None, None],
-                                   vs[hi] - vs[lo], al[hi] - al[lo], al[hi], vs[hi])
-            for resid, dv, da, anorm, vnorm in norms:
-                anorm = max(1.0, anorm)
-                scored.append((resid, dv <= cfg.tol and da <= cfg.tol * anorm,
-                               max(dv / max(1.0, vnorm), da / anorm)))
+            resid, dv, da, anorm, vnorm = _parseval_norms(
+                weights, avs - vs[hi] * lams[hi, :, None, None], vs[hi] - vs[lo],
+                al[hi] - al[lo], al[hi], vs[hi]).T
+            # Python's max(1.0, x) and max(x, y), NaN included, and its silent inf / inf
+            anorm = np.where(anorm > 1.0, anorm, 1.0)
+            ok = (dv <= cfg.tol) & (da <= cfg.tol * anorm)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                dv, da = dv / np.where(vnorm > 1.0, vnorm, 1.0), da / anorm
+            scored = list(zip(resid.tolist(), ok.tolist(), np.where(da > dv, da, dv).tolist()))
 
         def recover():
-            nonlocal anchor, restarts
+            nonlocal restarts
             if moved[s]:
-                anchor = int(np.argmax(rows[s]))
+                move(int(np.argmax(rows[s])))
                 return False
             try:
                 _check_divisor(mags)  # raises for step s, the first to fail the gate
@@ -329,12 +339,12 @@ def _power_loop(a, v0, sigma, cfg, rng):
                         f"scaling tube stayed near singular after {restarts} restarts"
                     ) from exc
             restarts += 1
-            anchor = start(random_slice_set(p, 1, n, real, rng))
+            start(random_slice_set(p, 1, n, real, rng))
             return True
 
         return scored, recover if len(failed) else None
 
-    anchor = start(v)
+    start(v)
     return _iterate(cfg, (vs, ws[1:], alphas, lams), take, result)
 
 
@@ -546,11 +556,11 @@ def t_subspace_iteration(a, num=None, x0=None, cfg=None, rng=None):
     ahat = _face_stack(a, half)
     weights = parseval_weights(n, len(ahat))
     lower = np.tri(cols, dtype=bool)
-    qs = np.empty((_SCORE_CHUNK + 1, len(ahat), a.p, cols), complex)
+    qs = np.empty((_SUBSPACE_CHUNK + 1, len(ahat), a.p, cols), complex)
     ys = np.empty_like(qs)
     y = np.empty_like(qs[0])  # the QR input, which LAPACK overwrites
     # slot 0's R is read (and its change discarded) before any step fills it
-    rs = np.zeros((_SCORE_CHUNK + 1, len(ahat), cols, cols), complex)
+    rs = np.zeros((_SUBSPACE_CHUNK + 1, len(ahat), cols, cols), complex)
     np.matmul(ahat, _face_stack(x0, half), out=ys[0])
     changes = []  # the change of tril(R) at each step; step 1 has none to make
 

@@ -262,6 +262,11 @@ def parseval_norms(weights, *blocks):
     columns of each block then add up to its squared norm. Returns the list
     of norms, or for a batch one such list per batch entry.
     """
+    return _parseval_norms(weights, *blocks).tolist()
+
+
+def _parseval_norms(weights, *blocks):
+    """:func:`parseval_norms` as an array, shaped (..., blocks)."""
     shape = (*blocks[0].shape[:-3], len(weights), -1)
     cols = [b.reshape(shape) for b in blocks]
     # a lone block with F-ordered faces concatenates to an F-ordered copy
@@ -270,7 +275,7 @@ def parseval_norms(weights, *blocks):
     starts = [0]
     for c in cols[:-1]:
         starts.append(starts[-1] + 2 * c.shape[-1])
-    return np.sqrt(np.add.reduceat(weights @ (x * x), starts, axis=-1)).tolist()
+    return np.sqrt(np.add.reduceat(weights @ (x * x), starts, axis=-1))
 
 
 def fourier_norm(stack, n):

@@ -10,6 +10,7 @@ from tubal import (
     UnknownKind,
     deflated_power_sweep,
     read_tensor,
+    solvers,
     spectrum_of,
     write_tensor,
 )
@@ -165,6 +166,21 @@ def test_run_table_twice_rewrites_outputs(tmp_path):
     assert outputs() == first
     assert {p.name: p.read_bytes() for p in tmp_path.glob("*.trace.csv")} == traces
     assert len(first[0]) == 4 and len(traces) == 3
+
+
+@pytest.mark.parametrize("table", ["t2", "t3", "t5"])
+def test_power_tables_match_per_step_scoring(table, tmp_path, monkeypatch):
+    # every row of the power-family tables, at the power family's chunk
+    # length and with each step scored as it is taken
+    def rows(chunk):
+        monkeypatch.setattr(solvers, "_POWER_CHUNK", chunk)
+        return [
+            (r.tensor, r.method, r.iterations, r.converged, r.error.hex(), r.res_norm.hex())
+            for r in run_table(table, tmp_path / str(chunk))
+        ]
+
+    assert solvers._POWER_CHUNK > 1
+    assert rows(solvers._POWER_CHUNK) == rows(1)
 
 
 def test_run_table_t10_rows(tmp_path):

@@ -728,6 +728,16 @@ def test_eigenslice_rejects_non_eigentube(rng):
         eigenslice_for(a, bogus)
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+def test_eigenslice_rejects_non_finite_tube(entry):
+    # a NaN distance to the face spectrum is far, and no NaN or inf reaches
+    # the SVD: the "far" gate names face 0 (no RuntimeWarning either)
+    a = make_tensor(TestTensorSpec("tridiag", dims=(4, 4, 4)))
+    with pytest.raises(NotAnEigentube) as info:
+        eigenslice_for(a, Tube([entry, 0.0, 0.0, 0.0]))
+    assert info.value.face_index == 0
+
+
 @pytest.mark.parametrize("lam", [Tube([6.0]), Tube([6.0, 0.0])], ids=["length1", "length2"])
 def test_eigenslice_rejects_tube_of_another_length(lam):
     data = np.zeros((2, 2, 3))

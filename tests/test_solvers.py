@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -268,6 +269,12 @@ def _from_faces(*faces):
     return Tensor3(np.fft.ifft(np.stack(faces, axis=2), axis=2).real)
 
 
+def _chunk_caps(chunk):
+    """Iteration caps at, next to and across the boundaries of chunks of
+    ``chunk`` steps, and the default cap."""
+    return (1, 2, chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 3000)
+
+
 def _chunk_case(kind, method):
     """The solver call of one chunking case, taking a config, and the caps
     it is run at besides the common ones."""
@@ -277,7 +284,7 @@ def _chunk_case(kind, method):
     if kind == "anchor_move":
         # every face diag(5, 4, 3, 2); the start's row 0 is a thousandth of
         # the others, so power iteration anchors row 1 until step 42, inside
-        # the third chunk, then row 0
+        # a chunk, then row 0
         a = _from_faces(*[np.diag([5.0, 4.0, 3.0, 2.0])] * 3)
         v0 = Tensor3(np.array([1e-3, 1.0, 1.0, 1.0])[:, None, None] * np.eye(1, 3)[None])
         extra = (41, 42, 43)
@@ -311,14 +318,14 @@ def _chunk_case(kind, method):
 def test_chunked_scoring_matches_per_step_scoring(kind, method, monkeypatch):
     # steps are taken speculatively and checked per chunk; with one step per
     # chunk each is checked as it is taken. Caps at, next to and across the
-    # chunk boundaries of 16 steps, around the step where a case's anchor
+    # power family's chunk boundaries, around the step where a case's anchor
     # moves or its gate fails, and the default cap; "restart" is the n = 2
     # tridiag tensor whose start slice restarts the run, so its random draw
     # must come at the same step
     solve, extra = _chunk_case(kind, method)
-    caps = (1, 2, 15, 16, 17, 33, 3000) + extra
+    caps = _chunk_caps(solvers._POWER_CHUNK) + extra
     chunked = [_run_bits(lambda: solve(SolverConfig(iter_max=c))) for c in caps]
-    monkeypatch.setattr(solvers, "_SCORE_CHUNK", 1)
+    monkeypatch.setattr(solvers, "_POWER_CHUNK", 1)
     assert [_run_bits(lambda: solve(SolverConfig(iter_max=c))) for c in caps] == chunked
     if method == "power" and kind == "nilpotent":
         capped = dict(zip(caps, chunked))
@@ -355,8 +362,66 @@ def test_chunked_scoring_matches_on_realeig_dle_sweep(monkeypatch):
     a = make_tensor("realeig")
     cfg = SolverConfig(deflation_variant="DLE")
     chunked = [_pair_bits(p) for p in deflated_power_sweep(a, 6, cfg=cfg)]
-    monkeypatch.setattr(solvers, "_SCORE_CHUNK", 1)
+    monkeypatch.setattr(solvers, "_POWER_CHUNK", 1)
     assert [_pair_bits(p) for p in deflated_power_sweep(a, 6, cfg=cfg)] == chunked
+
+
+@pytest.mark.parametrize(
+    "scale, last, warned",
+    [
+        (1e154, "0x1.14c626d9206a6p+501", {"multiply", "reduceat", "square"}),
+        (1e300, "inf", {"multiply", "square"}),
+    ],
+)
+def test_power_scoring_on_overflowing_norms(scale, last, warned):
+    # scaled by 1e154 the squared norms of alpha overflow, by 1e300 every
+    # squared norm but the normalized slice's. The residuals, and the
+    # overflow warnings with no "invalid value" among them, are those of
+    # scoring each step with Python floats
+    a = make_tensor("tridiag") * scale
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NoConvergence) as info:
+            t_power(a, cfg=SolverConfig(iter_max=200))
+    trace = np.array(info.value.result.residual_trace)
+    assert float(info.value.last_residual).hex() == last and len(trace) == 200
+    if scale == 1e154:
+        digest = "8908079374fb502aaf02b6c24432af5b13260ce3d4989728d0bf39f3effe771e"
+        assert hashlib.sha256(trace.tobytes()).hexdigest() == digest
+    else:
+        assert np.isposinf(trace).all()
+    messages = {str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)}
+    assert messages == {f"overflow encountered in {op}" for op in warned}
+
+
+def test_power_stall_metric_passes_over_nan_terms():
+    # scaled by 1e300, the alpha term of the stall metric is inf / inf; as
+    # with Python's max(), the slice term alone decides and the run stops
+    # on the stall detector, where a NaN metric would run to the cap
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        pair = t_power(make_tensor("stochastic") * 1e300)
+    assert (pair.iterations, pair.stop_reason) == (2263, "stall")
+
+
+def test_chunk_constants_size_the_solvers_chunks(monkeypatch):
+    # the chunk tests patch these constants: each must be the chunk length
+    # that its solver hands to _iterate
+    seen = []
+    iterate = solvers._iterate
+
+    def spy(cfg, slots, take, result):
+        seen.append(len(slots[0]) - 1)
+        return iterate(cfg, slots, take, result)
+
+    monkeypatch.setattr(solvers, "_iterate", spy)
+    monkeypatch.setattr(solvers, "_POWER_CHUNK", 3)
+    monkeypatch.setattr(solvers, "_SUBSPACE_CHUNK", 5)
+    a = make_tensor("tridiag")
+    t_power(a)
+    t_inverse_power(a, Tube(np.eye(1, a.n)[0]))
+    t_subspace_iteration(a, num=2)
+    assert seen == [3, 3, 5]
 
 
 def _schur_bits(solve):
@@ -374,10 +439,10 @@ def _schur_bits(solve):
 @pytest.mark.parametrize("power_index", [1, 4])
 @pytest.mark.parametrize("kind, tol", [("tridiag", 1e-15), ("complex", 1e-15), ("tridiag", 1e-300)])
 def test_subspace_chunked_scoring_matches_per_step_scoring(kind, tol, power_index, monkeypatch):
-    # caps at, next to and across the chunk boundaries of 16 steps, and the
-    # default cap; at tol 1e-300 the tridiag runs stop on the stall detector
+    # caps at, next to and across subspace iteration's chunk boundaries, and
+    # the default cap; at tol 1e-300 the tridiag runs stop on the stall detector
     a = make_tensor(kind)
-    caps = (1, 2, 15, 16, 17, 33, 3000)
+    caps = _chunk_caps(solvers._SUBSPACE_CHUNK)
 
     def bits(cap):
         cfg = SolverConfig(tol=tol, iter_max=cap, power_index=power_index)
@@ -386,7 +451,7 @@ def test_subspace_chunked_scoring_matches_per_step_scoring(kind, tol, power_inde
     chunked = [bits(c) for c in caps]
     if tol < 1e-15:
         assert chunked[-1][2] == "stall"
-    monkeypatch.setattr(solvers, "_SCORE_CHUNK", 1)
+    monkeypatch.setattr(solvers, "_SUBSPACE_CHUNK", 1)
     assert [bits(c) for c in caps] == chunked
 
 
