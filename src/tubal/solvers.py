@@ -655,53 +655,50 @@ def t_qr_unshifted(a, cfg=None, keep_history=False):
 _WIDE = np.complex256 if hasattr(np, "complex256") else np.complex128
 
 
-def _polish_schur_face(m, u, t, sweeps=4):
-    """Iterative refinement of a computed Schur pair of one Fourier face.
+def _polish_schur(m, u, t, sweeps=4):
+    """Iterative refinement of the computed Schur pairs of (faces, p, p)
+    stacks.
 
     The QR iteration accumulates a backward error of roughly
     sqrt(iterations) * eps * ||M||, which for large-norm faces sits well
     above the representation floor. Each sweep recompresses against the
-    original face, solves the triangular Sylvester equation for a strictly
-    lower correction of the basis, and re-orthonormalizes by QR. The final
-    compression runs in extended precision so the returned diagonal carries
-    only representation-level error. The refined pair is kept only when it
-    actually lowers the residual.
+    original faces, solves the triangular Sylvester equation for a strictly
+    lower correction X of the basis, one batched step per subdiagonal (an
+    entry depends only on those further below; a gap under the gate leaves
+    it zero), and re-orthonormalizes by QR. The compression runs in extended
+    precision so the diagonal carries only representation-level error. Each
+    face keeps its pair of lowest residual; sweeps stop when none improves.
     """
-    p = m.shape[0]
-    scale = np.linalg.norm(m)
+    p = m.shape[-1]
+    gate = 1e-6 * np.maximum(1.0, np.linalg.norm(m, axis=(1, 2)))[:, None]
+    mh = m.astype(_WIDE)
 
     def residual(uu, tt):
-        return np.linalg.norm(m @ uu - uu @ tt)
+        return np.linalg.norm(m @ uu - uu @ tt, axis=(1, 2))
 
-    best_u, best_t = u, t
-    best_res = residual(u, t)
+    best = residual(u, t)
     for _ in range(sweeps):
-        h = u.conj().T @ m @ u
+        h = np.conj(np.swapaxes(u, 1, 2)) @ m @ u
         tt = np.triu(h)
         x = np.zeros_like(h)
-        ok = True
-        for j in range(p):
-            for i in range(p - 1, j, -1):
-                den = tt[j, j] - tt[i, i]
-                if abs(den) < 1e-6 * max(1.0, scale):
-                    ok = False
-                    continue
-                num = h[i, j] + tt[i, i:] @ x[i:, j] - x[i, : i + 1] @ tt[: i + 1, j]
-                x[i, j] = num / den
-        if not ok and not np.any(x):
-            break
+        for d in range(p - 1, 0, -1):
+            i = np.arange(d, p)
+            den = tt[:, i - d, i - d] - tt[:, i, i]
+            num = (h + tt @ x - x @ tt)[:, i, i - d]
+            x[:, i, i - d] = np.divide(num, den, out=np.zeros_like(num), where=np.abs(den) >= gate)
         # QR keeps every leading column span of the corrected basis, so the
         # full Newton step takes effect (a polar factor would halve it)
-        u = facewise_qr((u @ (np.eye(p) + x))[None], "complete")[0][0]
-        mh = m.astype(_WIDE)
-        uh = u.astype(_WIDE)
-        t = np.triu((uh.conj().T @ mh @ uh).astype(np.complex128))
-        res = residual(u, t)
-        if res < best_res:
-            best_u, best_t, best_res = u, t, res
-        else:
+        u_new = facewise_qr(u @ (np.eye(p) + x), "complete")[0]
+        uh = u_new.astype(_WIDE)
+        t_new = np.triu((np.conj(np.swapaxes(uh, 1, 2)) @ mh @ uh).astype(np.complex128))
+        res = residual(u_new, t_new)
+        better = res < best
+        if not better.any():
             break
-    return best_u, best_t
+        best = np.minimum(best, res)
+        keep = better[:, None, None]
+        u, t = np.where(keep, u_new, u), np.where(keep, t_new, t)
+    return u, t
 
 
 def t_qr_shifted(a, cfg=None):
@@ -720,16 +717,16 @@ def t_qr_shifted(a, cfg=None):
     progress for ``STAGNATION_LIMIT`` sweeps the shift switches to the
     complex variant once, then the run is abandoned with stop reason
     ``"stall"`` and ``converged`` False.
-    On success the computed pair is polished facewise against the original
-    tensor (see :func:`_polish_schur_face`).
+    On success the computed pair of every face is polished against the
+    original tensor by one batched refinement (see :func:`_polish_schur`).
     """
     _check_square(a)
     cfg = cfg or SolverConfig()
     p, n = a.p, a.n
     eps = 1e-14 * a.frob_norm()
     hess = t_hess(a)
-    hs = hess.h.fourier_faces().copy()
-    us = hess.w.fourier_faces().copy()
+    hs = hess.h.fourier_faces()
+    us = hess.w.fourier_faces()
     a_faces = a.fourier_faces()
     complex_mode = cfg.complex_shift
     r = p
@@ -739,13 +736,11 @@ def t_qr_shifted(a, cfg=None):
     sqrt_n = np.sqrt(n)
 
     def finish(reason, iterations):
-        if reason == "tol":
-            for f in range(n):
-                us[f], hs[f] = _polish_schur_face(a_faces[f], us[f], hs[f])
+        u, t = _polish_schur(a_faces, us, hs) if reason == "tol" else (us, hs)
         snap = a.is_real and not complex_mode
         return SchurResult(
-            Tensor3.from_fourier_faces(us, real=snap and conjugate_even(us)),
-            Tensor3.from_fourier_faces(hs, real=snap and conjugate_even(hs)),
+            Tensor3.from_fourier_faces(u, real=snap and conjugate_even(u)),
+            Tensor3.from_fourier_faces(t, real=snap and conjugate_even(t)),
             iterations,
             reason == "tol",
             reason,

@@ -439,13 +439,13 @@ def slice_normalize(y):
     unit tube, hence slice norm one.
 
     The scaling tube has the nonnegative Fourier entries sqrt of <Y, Y>.
-    Raises :class:`NearSingularTube` when some Fourier face of Y vanishes.
+    Raises :class:`NearSingularTube` when such an entry, the divisor, fails
+    the gate of :func:`tube_div`.
     """
     _check_lateral(y)
     fy = np.fft.fft(y.data[:, 0, :], axis=1)
-    t_hat = np.sum(np.abs(fy) ** 2, axis=0)
-    _check_divisor(t_hat)
-    a_hat = np.sqrt(t_hat)
+    a_hat = np.sqrt(np.sum(np.abs(fy) ** 2, axis=0))
+    _check_divisor(a_hat)
     fx = fy / a_hat
     xdata = np.fft.ifft(fx, axis=1)
     avals = np.fft.ifft(a_hat)

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
 from conftest import f_hermitian_tensor, random_tensor, tridiag_tensor
@@ -1199,6 +1200,45 @@ def test_qr_shifted_stall_raises_with_partial_result():
     assert res.iterations == 2 * solvers.STAGNATION_LIMIT
     resid = (t_product(a, res.u) - t_product(res.u, res.r)).frob_norm()
     assert resid <= 1e-12 * a.frob_norm()
+
+
+def _residuals(m, u, t):
+    return np.linalg.norm(m @ u - u @ t, axis=(1, 2))
+
+
+def test_polish_schur_batched_faces(rng):
+    # Schur pairs of slightly perturbed faces, polished against the exact
+    # faces: generic complex faces of norm 1 to 1e3, an identity face whose
+    # every diagonal gap is below the gate, a face whose pair is exact, and
+    # a face whose gap just passes the gate, where a sweep overshoots
+    p = 6
+    faces = []
+    for scale in (1.0, 10.0, 100.0, 1000.0):
+        g = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
+        faces.append(scale * g / np.linalg.norm(g))
+    faces.append(np.eye(p, dtype=complex))
+    u, t = [], []
+    for face in faces:
+        noise = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
+        tf, uf = sla.schur(face + 1e-9 * np.linalg.norm(face) * noise, output="complex")
+        t.append(tf)
+        u.append(uf)
+    exact = np.triu(rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p)))
+    close = np.diag([1.0, 1.0 + 2e-5, 3.0, 4.0, 5.0, 6.0]).astype(complex)
+    close[0, 1], close[1, 0] = 1.0, 1e-4
+    faces += [exact, close]
+    u += [np.eye(p), np.eye(p)]
+    t += [exact, np.triu(close)]
+    m, u, t = np.stack(faces), np.stack(u), np.stack(t)
+    before = _residuals(m, u, t)
+    pu, pt = solvers._polish_schur(m, u, t)
+    after = _residuals(m, pu, pt)
+    assert np.all(after <= before)
+    assert np.all(after[:4] <= 1e-14 * np.linalg.norm(m[:4], axis=(1, 2)))
+    assert after[5] == 0.0
+    assert np.all(np.tril(pt, -1) == 0)
+    unitary = np.conj(np.swapaxes(pu, 1, 2)) @ pu - np.eye(p)
+    assert np.all(np.linalg.norm(unitary, axis=(1, 2)) <= 1e-14)
 
 
 def test_config_validation():

@@ -26,6 +26,7 @@ from tubal import (
     tensor_tube_div,
     tensor_tube_mul,
     tube_conj_t,
+    tube_div,
     unfold,
     unit_tube,
 )
@@ -338,6 +339,28 @@ def test_slice_normalize_degenerate():
     y = Tensor3(np.zeros((3, 1, 4)))
     with pytest.raises(NearSingularTube):
         slice_normalize(y)
+
+
+def _two_face_slice(small):
+    """A real 2 x 1 x 2 slice whose Fourier faces have magnitudes 1 and
+    ``small``, a power of two, so both faces are exact."""
+    return Tensor3(np.array([[[(1 + small) / 2, (1 - small) / 2]], [[0.0, 0.0]]]))
+
+
+def test_slice_normalize_gates_the_divisor():
+    # <Y, Y> has Fourier entries 1 and 2**-54 (about 5.6e-17), but the
+    # divisor applied is its square root, 1 and 2**-27 (about 7.5e-9), which
+    # tube_div accepts as well
+    y = _two_face_slice(2.0**-27)
+    x, a = slice_normalize(y)
+    assert_allclose(a.fourier_values, [1.0, 2.0**-27], rtol=1e-15)
+    assert_allclose(tube_div(a, a).values, unit_tube(2).values, atol=1e-12)
+    assert (slice_inner(x, x) - unit_tube(2)).norm() <= 1e-10
+    assert tensor_tube_mul(x, a).allclose(y, rtol=1e-10, atol=1e-20)
+    # the gate still fails a divisor entry below it, and reports that entry
+    with pytest.raises(NearSingularTube) as info:
+        slice_normalize(_two_face_slice(2.0**-47))
+    assert info.value.face_index == 1 and info.value.magnitude == 2.0**-47
 
 
 def test_slice_normalize_nan_gate(rng):
