@@ -13,6 +13,7 @@ from .errors import (
     MalformedFile,
     NearSingularTube,
     NoConvergence,
+    NonFiniteInput,
     NotAnEigentube,
     ShiftCollision,
     SingularFace,

@@ -85,6 +85,10 @@ class DivisionFailure(TubalError):
     """An iteration's scaling tube stayed near singular through all restarts."""
 
 
+class NonFiniteInput(TubalError):
+    """An input tensor holds a NaN or infinite entry."""
+
+
 class NoConvergence(TubalError):
     """An iterative solver hit its iteration cap.
 

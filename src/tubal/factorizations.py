@@ -108,19 +108,29 @@ def _strictly_lower(rows, cols):
     return np.tri(rows, cols, -1, dtype=bool)
 
 
-def _phased_q(a, full, out):
-    """:func:`facewise_qr`'s Q of the float64 or complex128 stack ``a`` into
-    ``out``; returns the phases. Needs ``np.errstate(**_QR_ERRSTATE)``."""
-    tau = qr_r_raw(a)  # overwrites a with R and the reflectors
-    (qr_complete if full else qr_reduced)(a, tau, out=out)
+def _phased_q(a, full):
+    """:func:`facewise_qr`'s Q-only core, bound once to the float64 or
+    complex128 stack buffer ``a`` so a step allocates nothing: ``step(out)``
+    factors ``a`` in place, writes Q into ``out`` and returns the phases (a
+    reused buffer). Needs ``np.errstate(**_QR_ERRSTATE)``."""
     d = a.diagonal(0, 1, 2)
-    mag = np.abs(d)
-    # dividing by a subnormal magnitude overflows; such an entry keeps phase 1
-    phase = np.divide(d, mag, out=np.ones_like(d), where=mag >= _TINY).astype(complex, copy=False)
-    if out.shape[2] > phase.shape[1]:  # Q's columns past R's diagonal keep phase 1
-        phase = np.concatenate([phase, np.ones((len(phase), out.shape[2] - phase.shape[1]))], axis=1)
-    np.multiply(out, phase[:, None, :], out=out)
-    return phase
+    tau, mag, keep = np.empty(d.shape, a.dtype), np.empty(d.shape), np.empty(d.shape, bool)
+    phase = np.empty((len(a), a.shape[1] if full else d.shape[1]), a.dtype)
+    lead, spread = phase[:, : d.shape[1]], phase[:, None, :]
+    qr = qr_complete if full else qr_reduced
+
+    def step(out):
+        qr_r_raw(a, out=tau)
+        qr(a, tau, out=out)
+        # phase 1, refilled each call, where d / |d| would overflow and for
+        # Q's columns past R's diagonal
+        np.greater_equal(np.abs(d, out=mag), _TINY, out=keep)
+        phase.fill(1)
+        np.divide(d, mag, out=lead, where=keep)
+        np.multiply(out, spread, out=out)
+        return phase
+
+    return step
 
 
 def facewise_qr(stack, mode):
@@ -137,7 +147,8 @@ def facewise_qr(stack, mode):
     that function's error handling but not its wrapper costs: float64 and
     complex128 stacks get its factors bit for bit. Single-precision stacks
     are factored in double precision and not rounded back. The calls and the
-    phase fix are :func:`_phased_q`; subspace iteration takes Q alone from
+    phase fix are :func:`_phased_q`'s step, bound here to a copy of the
+    input; subspace iteration binds it once per solve, takes Q alone from
     it, into its slots under one errstate per chunk, and R from Q^H * Y.
     """
     if mode not in ("complete", "reduced"):
@@ -149,7 +160,7 @@ def facewise_qr(stack, mode):
     k = rows if full else min(rows, cols)
     q = np.empty((faces, rows, k), complex)
     with np.errstate(**_QR_ERRSTATE):
-        phase = _phased_q(a, full, q)
+        phase = _phased_q(a, full)(q).astype(complex, copy=False)
     r = np.where(_strictly_lower(k, cols), 0, a[:, :k])
     return q, np.conj(phase)[:, :, None] * r
 

@@ -20,6 +20,7 @@ from .errors import (
     DivisionFailure,
     NearSingularTube,
     NoConvergence,
+    NonFiniteInput,
     ShiftCollision,
     SingularFace,
     SingularShift,
@@ -61,8 +62,8 @@ STAGNATION_LIMIT = 500
 STALL_WINDOW = 200
 STALL_CEILING = 1e-8
 
-#: Steps taken between two scorings (see :func:`_iterate`): cheap power
-#: steps take long chunks, while subspace chunks of 32 ran slower than 16.
+#: Steps taken between two scorings (see :func:`_iterate`). Subspace chunks
+#: past 16 make malloc hand their scoring temporaries back to the OS.
 _POWER_CHUNK = 64
 _SUBSPACE_CHUNK = 16
 
@@ -523,16 +524,20 @@ def t_subspace_iteration(a, num=None, x0=None, cfg=None, rng=None):
     magnitude of R (stop reason ``"tol"``), or once the stall detector
     reports a noise floor (``"stall"``). ``x0``, or ``num`` random slices,
     holds 1 to p slices; given both, ``num`` must be the width of ``x0``.
+    A NaN or infinite entry in A or ``x0`` raises :class:`NonFiniteInput`
+    before the first step.
 
     The iterate X, the product Y = A * X and R stay Fourier face stacks for
     the whole run, the leading n // 2 + 1 faces when A and X0 are real; only
     the returned tensors are transformed back. A step is the power products
     and one Q-only phased QR (:func:`facewise_qr`'s core) into its slot of
-    X; its Y is the next step's first product. No step reads R or the stop
-    metrics, so :func:`_iterate` runs the steps in chunks under one
-    ``np.errstate``, and batched products give each chunk's R (X^H * Y), its
-    residuals and, in one Parseval reduction, their norms. Q keeps its phase
-    fix: the stop tests need bit-stable iterates.
+    X; its Y is the next step's first product. The QR step, the slot lists
+    and two buffers for the power products are bound once per solve, so a
+    step allocates nothing. No step reads R or the stop metrics, so
+    :func:`_iterate` runs the steps in chunks under one ``np.errstate``, and
+    batched products give each chunk's R (X^H * Y), its residuals and, in
+    one Parseval reduction, their norms. Q keeps its phase fix: the stop
+    tests need bit-stable iterates.
     """
     _check_square(a)
     cfg = cfg or SolverConfig()
@@ -551,6 +556,8 @@ def t_subspace_iteration(a, num=None, x0=None, cfg=None, rng=None):
         raise ValueError(f"x0 must have at most {a.p} columns, got {x0.p}")
     if num is not None and num != x0.p:
         raise ValueError(f"num is {num} but x0 has {x0.p} columns")
+    if not (np.isfinite(a.data).all() and np.isfinite(x0.data).all()):
+        raise NonFiniteInput("A and x0 must be finite")  # else NaNs run to the cap
     n, cols = a.n, x0.p
     half = a.is_real and x0.is_real
     ahat = _face_stack(a, half)
@@ -559,6 +566,9 @@ def t_subspace_iteration(a, num=None, x0=None, cfg=None, rng=None):
     qs = np.empty((_SUBSPACE_CHUNK + 1, len(ahat), a.p, cols), complex)
     ys = np.empty_like(qs)
     y = np.empty_like(qs[0])  # the QR input, which LAPACK overwrites
+    pair = (y, np.empty_like(y))  # a product into its own input copies it first
+    outs = [pair[i % 2] for i in range(cfg.power_index - 2, -1, -1)]  # the last into y
+    qr, ql, yl = _phased_q(y, False), list(qs), list(ys)  # bound once: a step allocates nothing
     # slot 0's R is read (and its change discarded) before any step fills it
     rs = np.zeros((_SUBSPACE_CHUNK + 1, len(ahat), cols, cols), complex)
     np.matmul(ahat, _face_stack(x0, half), out=ys[0])
@@ -572,11 +582,13 @@ def t_subspace_iteration(a, num=None, x0=None, cfg=None, rng=None):
     def take(m):
         with np.errstate(**_QR_ERRSTATE):
             for j in range(1, m + 1):
-                np.copyto(y, ys[j - 1])
-                for _ in range(cfg.power_index - 1):
-                    np.matmul(ahat, y, out=y)
-                _phased_q(y, False, qs[j])
-                np.matmul(ahat, qs[j], out=ys[j])
+                x = yl[j - 1]
+                for o in outs:
+                    x = np.matmul(ahat, x, out=o)
+                if x is not y:
+                    np.copyto(y, x)
+                qr(ql[j])
+                np.matmul(ahat, ql[j], out=yl[j])
         lo, hi = slice(0, m), slice(1, m + 1)
         np.matmul(np.conj(np.swapaxes(qs[hi], 2, 3)), ys[hi], out=rs[hi])
         norms = parseval_norms(weights, ys[hi] - qs[hi] @ rs[hi], rs[hi],

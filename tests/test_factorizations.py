@@ -152,7 +152,7 @@ def _core_q(stack, mode):
     full = mode == "complete" and rows > cols
     out = np.empty((faces, rows, rows if full else min(rows, cols)), complex)
     with np.errstate(**_QR_ERRSTATE):
-        phase = _phased_q(a, full, out)
+        phase = _phased_q(a, full)(out)
     return out, phase
 
 
@@ -205,6 +205,41 @@ def test_facewise_qr_keeps_phase_one_on_a_subnormal_diagonal(rng, mode, shape, d
     assert out.tobytes() == q.tobytes()
     assert r[-1, 0, 0] == -1e-310 and phase[-1, 0] == 1
     assert np.array_equal(q[-1, :, 0], np.linalg.qr(stack[-1], mode=mode)[0][:, 0])
+
+
+@pytest.mark.parametrize("mode, shape", [
+    ("reduced", (4, 6, 3)), ("complete", (4, 6, 3)), ("complete", (3, 4, 4)), ("reduced", (3, 3, 5)),
+])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("small", [0.0, -1e-310])
+def test_bound_qr_step_refills_its_phases(rng, mode, shape, dtype, small):
+    # subspace iteration binds the Q-only core to one buffer and calls it
+    # every step; here one bound step factors a generic stack whose first
+    # diagonal entry of R on the last face has a phase other than 1, then a
+    # stack where that entry is zero or subnormal: its phase must be 1 again,
+    # and every Q must be that of facewise_qr (a fresh core) bit for bit
+    def draw():
+        stack = rng.standard_normal(shape).astype(dtype)
+        if dtype is np.complex128:
+            stack += 1j * rng.standard_normal(shape)
+        return stack
+
+    generic, singular = draw(), draw()
+    generic[-1, 0, 0] = 1.0 + abs(generic[-1, 0, 0])  # geqrf's R[0, 0] is then negative
+    singular[-1, :, 0] = 0.0
+    singular[-1, 0, 0] = small
+    faces, rows, cols = shape
+    full = mode == "complete" and rows > cols
+    a = np.empty(shape, dtype)
+    out = np.empty((faces, rows, rows if full else min(rows, cols)), complex)
+    step, phases = _phased_q(a, full), []
+    with np.errstate(**_QR_ERRSTATE):
+        for stack in (generic, singular):
+            np.copyto(a, stack)
+            phases.append(step(out).copy())
+            assert out.tobytes() == facewise_qr(stack, mode)[0].tobytes()
+    assert phases[0][-1, 0] != 1 and phases[1][-1, 0] == 1
+    assert np.all(phases[1][:, min(rows, cols):] == 1)
 
 
 def test_facewise_qr_rejects_unknown_mode(rng):

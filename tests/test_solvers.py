@@ -13,6 +13,7 @@ from tubal import (
     DivisionFailure,
     NearSingularTube,
     NoConvergence,
+    NonFiniteInput,
     SingularShift,
     SolverConfig,
     Tensor3,
@@ -510,6 +511,9 @@ def _reference_subspace_bits(a, x0, cfg):
         ("complex", 4, 1, False, 1e-15),
         ("complex", 1, 4, False, 1e-15),
         ("complex", 10, 2, True, 1e-15),
+        ("complex", 3, 3, True, 1e-15),
+        ("tridiag", 2, 3, False, 1e-300),
+        ("odd_real", 2, 3, True, 1e-15),
         ("odd_real", 5, 4, False, 1e-15),
         ("odd_real", 1, 1, True, 1e-15),
         ("odd_complex", 4, 2, True, 1e-15),
@@ -534,18 +538,25 @@ def test_subspace_matches_per_step_reference(kind, num, power_index, given, tol)
 
 
 @pytest.mark.parametrize("real", [True, False])
-def test_subspace_nan_tensor_runs_to_the_cap(real):
-    # NaNs pass through the QR and the products without an error or a
-    # warning; the stop tests never pass on them
-    data = random_tensor(np.random.default_rng(0), 6, 6, 4, real=real).data.copy()
-    data[2, 3, 1] = np.nan
-    a = Tensor3(data, real=real)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["a", "x0"])
+def test_subspace_non_finite_input_raises_at_once(real, bad, where):
+    # the stop tests never pass on NaN iterates, so a non-finite A or x0
+    # would run every step to the cap; it is refused before the first step,
+    # without a warning
+    rng = np.random.default_rng(0)
+    a = random_tensor(rng, 6, 6, 4, real=real)
+    x0 = random_tensor(rng, 6, 2, 4, real=real)
+    data = (a if where == "a" else x0).data.copy()
+    data[2, 1, 1] = bad
+    if where == "a":  # with the solver's own random start
+        a, x0 = Tensor3(data, real=real), None
+    else:
+        x0 = Tensor3(data, real=real)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NoConvergence) as info:
-            t_subspace_iteration(a, num=2, cfg=SolverConfig(iter_max=40))
-    assert info.value.iterations == 40
-    assert np.isnan(info.value.last_residual)
+        with pytest.raises(NonFiniteInput):
+            t_subspace_iteration(a, num=2, x0=x0, cfg=SolverConfig(iter_max=40))
 
 
 def test_power_nan_tensor_raises_division_failure():
