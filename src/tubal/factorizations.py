@@ -25,7 +25,8 @@ from .errors import (
     SingularFace,
 )
 from .tensors import (
-    Tensor3, _check_square, _face_stack, _from_face_stack, identity, tensor_tube_mul,
+    Tensor3, _check_finite, _check_square, _face_stack, _from_face_stack, identity,
+    tensor_tube_mul,
 )
 from .tubes import Tube, conjugate_even
 
@@ -258,6 +259,7 @@ class TSvdResult:
 
 
 def t_svd(a):
+    _check_finite(a)
     stack = _face_stack(a, a.is_real)
     us, sv, vhs = np.linalg.svd(stack)
     k = sv.shape[1]
@@ -504,6 +506,7 @@ def t_null_basis(a, rtol=NULL_RTOL):
     Returns a (possibly empty) list of lateral slices X with A * X almost
     zero.
     """
+    _check_finite(a)
     _, s, vh = np.linalg.svd(_face_stack(a, a.is_real))
     smax = s.max(axis=1)
     gate = np.where(smax > 0, rtol * smax, np.inf)
@@ -518,6 +521,7 @@ def in_range(a, y, rtol=NULL_RTOL):
         raise DimensionMismatch("columns", y.p, 1)
     if a.l != y.l or a.n != y.n:
         raise DimensionMismatch("rows", (a.l, a.n), (y.l, y.n))
+    _check_finite(a, y)
     half = a.is_real and y.is_real
     u, s, _ = np.linalg.svd(_face_stack(a, half), full_matrices=False)
     ys = _face_stack(y, half)  # (faces, l, 1)
@@ -544,4 +548,5 @@ def t_inverse(a, rtol=1e-13):
     """Tensor inverse via facewise inversion; every Fourier face must be
     nonsingular."""
     _check_square(a)
+    _check_finite(a)
     return _stitch(_facewise_inverse(_face_stack(a, a.is_real), rtol), a)

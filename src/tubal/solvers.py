@@ -20,16 +20,16 @@ from .errors import (
     DivisionFailure,
     NearSingularTube,
     NoConvergence,
-    NonFiniteInput,
     ShiftCollision,
     SingularFace,
     SingularShift,
     ZeroSlice,
 )
-from .factorizations import (_QR_ERRSTATE, _eigenslices, _facewise_inverse, _phased_q,
-                             facewise_qr, t_hess)
+from .factorizations import (_QR_ERRSTATE, _eigenslices, _facewise_inverse, _mirror,
+                             _phased_q, facewise_qr, t_hess)
 from .tensors import (
     Tensor3,
+    _check_finite,
     _check_square,
     _face_stack,
     _from_face_stack,
@@ -43,7 +43,7 @@ from .tensors import (
     tensor_tube_mul,
 )
 from .tubes import (
-    Tube, _check_divisor, _divisor_ok, conjugate_even, tube_conj_t, tube_div, unit_tube,
+    Tube, _check_divisor, _divisor_ok, tube_conj_t, tube_div, unit_tube,
 )
 
 #: Fresh random start slices a power-type iteration takes after a
@@ -556,8 +556,7 @@ def t_subspace_iteration(a, num=None, x0=None, cfg=None, rng=None):
         raise ValueError(f"x0 must have at most {a.p} columns, got {x0.p}")
     if num is not None and num != x0.p:
         raise ValueError(f"num is {num} but x0 has {x0.p} columns")
-    if not (np.isfinite(a.data).all() and np.isfinite(x0.data).all()):
-        raise NonFiniteInput("A and x0 must be finite")  # else NaNs run to the cap
+    _check_finite(a, x0)
     n, cols = a.n, x0.p
     half = a.is_real and x0.is_real
     ahat = _face_stack(a, half)
@@ -622,10 +621,10 @@ def t_qr_unshifted(a, cfg=None, keep_history=False):
     input, and the accumulated factors give a t-QR factorization of A^k.
     The iterate and the accumulated factors stay Fourier face stacks (the
     leading n // 2 + 1 faces for real input): a step is one
-    :func:`facewise_qr` call and three batched products, and the spatial
-    :class:`QrIterate` history is built only with ``keep_history``. Stops
-    when the strictly f-lower-triangular mass, by Parseval, falls below
-    ``cfg.tol * max(1, ||A||_F)``.
+    :func:`facewise_qr` call and two batched products; the accumulated R
+    and the spatial :class:`QrIterate` history are built only with
+    ``keep_history``. Stops when the strictly f-lower-triangular mass, by
+    Parseval, falls below ``cfg.tol * max(1, ||A||_F)``.
     """
     _check_square(a)
     cfg = cfg or SolverConfig()
@@ -652,8 +651,8 @@ def t_qr_unshifted(a, cfg=None, keep_history=False):
         q, r = facewise_qr(a_k, "complete")
         a_k = r @ q
         q_acc = q_acc @ q
-        r_acc = r @ r_acc
         if keep_history:
+            r_acc = r @ r_acc
             history.append(QrIterate(*map(spatial, (q, r, a_k, q_acc, r_acc))))
         (err,) = parseval_norms(weights, np.tril(a_k, -1))
         err_trace.append(err)
@@ -667,19 +666,20 @@ def t_qr_unshifted(a, cfg=None, keep_history=False):
 _WIDE = np.complex256 if hasattr(np, "complex256") else np.complex128
 
 
-def _polish_schur(m, u, t, sweeps=4):
+def _polish_schur(m, u, t):
     """Iterative refinement of the computed Schur pairs of (faces, p, p)
     stacks.
 
     The QR iteration accumulates a backward error of roughly
     sqrt(iterations) * eps * ||M||, which for large-norm faces sits well
-    above the representation floor. Each sweep recompresses against the
-    original faces, solves the triangular Sylvester equation for a strictly
-    lower correction X of the basis, one batched step per subdiagonal (an
-    entry depends only on those further below; a gap under the gate leaves
-    it zero), and re-orthonormalizes by QR. The compression runs in extended
-    precision so the diagonal carries only representation-level error. Each
-    face keeps its pair of lowest residual; sweeps stop when none improves.
+    above the representation floor. Each of up to four sweeps recompresses
+    against the original faces, solves the triangular Sylvester equation
+    for a strictly lower correction X of the basis, one batched step per
+    subdiagonal (an entry depends only on those further below; a gap under
+    the gate leaves it zero), and re-orthonormalizes by QR. The compression
+    runs in extended precision so the diagonal carries only representation-
+    level error. Each face keeps its pair of lowest residual; sweeps stop
+    when none improves.
     """
     p = m.shape[-1]
     gate = 1e-6 * np.maximum(1.0, np.linalg.norm(m, axis=(1, 2)))[:, None]
@@ -689,7 +689,7 @@ def _polish_schur(m, u, t, sweeps=4):
         return np.linalg.norm(m @ uu - uu @ tt, axis=(1, 2))
 
     best = residual(u, t)
-    for _ in range(sweeps):
+    for _ in range(4):
         h = np.conj(np.swapaxes(u, 1, 2)) @ m @ u
         tt = np.triu(h)
         x = np.zeros_like(h)
@@ -717,48 +717,43 @@ def t_qr_shifted(a, cfg=None):
     """Shifted QR iteration on the f-Hessenberg form.
 
     The tensor is reduced to f-upper-Hessenberg form by :func:`t_hess`,
-    and its Fourier face stack is iterated. Each sweep shifts every face by
-    the trailing diagonal entry sigma of the active leading block
-    (multiplied by 1 + i in complex-shift mode), factors the shifted blocks
-    of all faces with one :func:`facewise_qr` call, and sets the block to
-    R Q + sigma I, carrying Q^H into the coupling rows to its right and Q
-    into the accumulated unitary stack. The trailing row deflates once the
-    subdiagonal tube at the active corner drops below
+    and its Fourier face stack is iterated: for a real tensor in real-shift
+    mode the leading n // 2 + 1 faces, whose conjugates are the rest, and
+    otherwise all n. Each sweep shifts every face by the trailing diagonal
+    entry sigma of the active leading block (multiplied by 1 + i in
+    complex-shift mode), factors the shifted blocks of all faces with one
+    :func:`facewise_qr` call, and sets the block to R Q + sigma I, carrying
+    Q^H into the coupling rows to its right and Q into the accumulated
+    unitary stack. The trailing row deflates once the subdiagonal tube at
+    the active corner, measured by Parseval, drops below
     ``1e-14 * ||A||_F``; restricting the step to the active block keeps
     converged subdiagonals from regrowing. If the active corner makes no
     progress for ``STAGNATION_LIMIT`` sweeps the shift switches to the
-    complex variant once, then the run is abandoned with stop reason
+    complex variant once, which is not conjugate-symmetric, so the stacks
+    are mirrored to all n faces; then the run is abandoned with stop reason
     ``"stall"`` and ``converged`` False.
     On success the computed pair of every face is polished against the
     original tensor by one batched refinement (see :func:`_polish_schur`).
+    The result is real exactly when the run stayed on the leading faces.
     """
     _check_square(a)
     cfg = cfg or SolverConfig()
     p, n = a.p, a.n
     eps = 1e-14 * a.frob_norm()
+    half = a.is_real and not cfg.complex_shift
     hess = t_hess(a)
-    hs = hess.h.fourier_faces()
-    us = hess.w.fourier_faces()
-    a_faces = a.fourier_faces()
+    hs, us, a_faces = (_face_stack(t, half) for t in (hess.h, hess.w, a))
+    w = parseval_weights(n, len(hs))
     complex_mode = cfg.complex_shift
     r = p
     stagnant = 0
     err_trace = []
     k = 0
-    sqrt_n = np.sqrt(n)
 
     def finish(reason, iterations):
         u, t = _polish_schur(a_faces, us, hs) if reason == "tol" else (us, hs)
-        snap = a.is_real and not complex_mode
-        return SchurResult(
-            Tensor3.from_fourier_faces(u, real=snap and conjugate_even(u)),
-            Tensor3.from_fourier_faces(t, real=snap and conjugate_even(t)),
-            iterations,
-            reason == "tol",
-            reason,
-            err_trace,
-            [],
-        )
+        u, t = (Tensor3(_from_face_stack(x, n, half), real=half) for x in (u, t))
+        return SchurResult(u, t, iterations, reason == "tol", reason, err_trace, [])
 
     if p == 1:
         return finish("tol", 0)
@@ -770,7 +765,8 @@ def t_qr_shifted(a, cfg=None):
         hs[:, :r, :r] = rr @ q + shift
         hs[:, :r, r:] = np.conj(np.swapaxes(q, 1, 2)) @ hs[:, :r, r:]
         us[:, :, :r] = us[:, :, :r] @ q
-        sub = float(np.linalg.norm(hs[:, r - 1, r - 2])) / sqrt_n
+        c = hs[:, r - 1, r - 2]
+        sub = float(np.sqrt(w @ (c.real * c.real + c.imag * c.imag)))
         err_trace.append(sub)
         if sub <= eps:
             hs[:, r - 1, r - 2] = 0.0
@@ -782,8 +778,9 @@ def t_qr_shifted(a, cfg=None):
             stagnant += 1
             if stagnant >= STAGNATION_LIMIT:
                 if not complex_mode:
-                    complex_mode = True
-                    stagnant = 0
+                    complex_mode, half, stagnant = True, False, 0
+                    hs, us, a_faces = (_mirror(x, n) for x in (hs, us, a_faces))
+                    w = parseval_weights(n, n)
                 else:
                     raise NoConvergence(
                         k,

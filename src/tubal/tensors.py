@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFiniteInput
 from .tubes import Tube, _check_divisor
 
 #: bcirc materialization guard: (l*n) * (p*n) entries at most.
@@ -161,6 +161,13 @@ def _check_square(a):
     as many rows as columns."""
     if a.l != a.p:
         raise DimensionMismatch("rows", a.l, a.p)
+
+
+def _check_finite(*tensors):
+    """Raise :class:`NonFiniteInput` unless every entry of ``tensors`` is
+    finite: a NaN or infinity hangs LAPACK's SVD or runs a solver to its cap."""
+    if not all(np.isfinite(t.data).all() for t in tensors):
+        raise NonFiniteInput("input tensors must be finite")
 
 
 # ---------------------------------------------------------------------------

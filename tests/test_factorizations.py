@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
+import tubal
 from conftest import (
     f_hermitian_tensor,
     match_multisets,
@@ -938,6 +944,49 @@ def test_in_range_rank_deficient_square(rng):
     a = Tensor3(np.concatenate([b.data, b.data.sum(axis=1, keepdims=True)], axis=1))
     assert in_range(a, t_product(a, random_tensor(rng, 3, 1, 4)))
     assert not in_range(a, random_tensor(rng, 3, 1, 4))
+
+
+_NON_FINITE_CHILD = textwrap.dedent("""
+    import numpy as np
+    from tubal import NonFiniteInput, Tensor3, in_range, t_inverse, t_null_basis, t_svd
+
+    missed = []
+    rng = np.random.default_rng(0)
+    for real in (True, False):
+        for bad in (np.nan, np.inf):
+            for where in ("a", "y"):
+                a = rng.standard_normal((3, 3, 4)) + (0 if real else 1j)
+                y = rng.standard_normal((3, 1, 4)) + (0 if real else 1j)
+                (a if where == "a" else y)[0, 0, 1] = bad
+                a, y = Tensor3(a), Tensor3(y)
+                calls = {"in_range": lambda: in_range(a, y)}
+                if where == "a":
+                    calls.update(t_svd=lambda: t_svd(a), t_null_basis=lambda: t_null_basis(a),
+                                 t_inverse=lambda: t_inverse(a))
+                for name, call in calls.items():
+                    try:
+                        call()
+                        got = "a result"
+                    except NonFiniteInput:
+                        continue
+                    except Exception as exc:
+                        got = type(exc).__name__
+                    missed.append((name, real, bad, where, got))
+    print(missed)
+    raise SystemExit(1 if missed else 0)
+""")
+
+
+def test_non_finite_input_raises_instead_of_hanging():
+    # LAPACK's SVD does not return on a face holding an inf, so the cases
+    # run in a child process with a time limit: a missing gate fails the
+    # test instead of hanging the suite
+    src = os.path.dirname(os.path.dirname(tubal.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", _NON_FINITE_CHILD], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_inverse(rng):

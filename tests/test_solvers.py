@@ -1135,11 +1135,11 @@ def test_qr_shifted_real_input_real_output():
     assert res.u.is_real and res.r.is_real
 
 
-def _rotation_tensor():
+def _rotation_tensor(n=2):
     """A real tensor whose first face has a complex conjugate eigenvalue
     pair, which a real shift cannot separate."""
     rot = np.array([[0.6, -0.8], [0.8, 0.6]])
-    data = np.zeros((2, 2, 2))
+    data = np.zeros((2, 2, n))
     data[:, :, 0] = 2 * rot
     data[:, :, 1] = 0.3 * np.eye(2)
     return Tensor3(data)
@@ -1168,6 +1168,62 @@ def test_qr_shifted_switches_to_complex_shift():
     got = facewise_sort_tubes(res.diag_tubes())
     exact = spectrum_of(a).eigentubes
     assert spectral_distance(got, exact) <= 1e-10 * max(1.0, a.frob_norm())
+
+
+def _spy_qr_faces(monkeypatch):
+    """The face count of every stack :func:`facewise_qr` factors in
+    :mod:`solvers`."""
+    faces = []
+
+    def spy(stack, mode):
+        faces.append(len(stack))
+        return factorizations.facewise_qr(stack, mode)
+
+    monkeypatch.setattr(solvers, "facewise_qr", spy)
+    return faces
+
+
+def test_qr_shifted_real_shift_iterates_leading_faces(monkeypatch):
+    # faces f and n - f of a real tensor are conjugates, and so stay under
+    # a real shift: only the leading n // 2 + 1 are iterated
+    faces = _spy_qr_faces(monkeypatch)
+    res = t_qr_shifted(make_tensor("tridiag"))
+    assert res.iterations == 54 and set(faces) == {2}
+
+
+def test_qr_shifted_complex_switch_mirrors_to_all_faces(monkeypatch):
+    # the complex shift breaks the conjugate symmetry, so the run goes on
+    # all n faces after the switch and returns a complex result
+    faces = _spy_qr_faces(monkeypatch)
+    res = t_qr_shifted(_rotation_tensor(3), cfg=SolverConfig(iter_max=5000))
+    assert res.converged and res.iterations == 540
+    # the sweeps, then the polish
+    switch = solvers.STAGNATION_LIMIT
+    assert faces == [2] * switch + [3] * (len(faces) - switch)
+    assert not res.u.is_real and not res.r.is_real
+
+
+@pytest.mark.parametrize("kind", ["tridiag", "f_hermitian", "random"])
+def test_qr_shifted_half_spectrum_matches_full(monkeypatch, kind):
+    # the random tensor's real face 0 has a complex eigenvalue pair, so that
+    # run switches to the complex shift and returns a complex result
+    rng = np.random.default_rng(5)
+    if kind == "tridiag":
+        a = make_tensor("tridiag")
+    elif kind == "f_hermitian":
+        a = f_hermitian_tensor(rng, 6, 5)
+    else:
+        a = Tensor3(rng.standard_normal((6, 6, 5)))
+    faces = _spy_qr_faces(monkeypatch)
+    half = t_qr_shifted(a)
+    switched = a.n in faces
+    full = t_qr_shifted(Tensor3(a.data, real=False))
+    assert switched == (kind == "random")
+    assert half.u.is_real == half.r.is_real == (not switched)
+    assert (half.iterations, half.stop_reason) == (full.iterations, full.stop_reason)
+    tol = 1e-13 * a.frob_norm()
+    assert (half.u - full.u).frob_norm() <= tol
+    assert (half.r - full.r).frob_norm() <= tol
 
 
 @pytest.mark.parametrize("n", [1, 4, 5])
