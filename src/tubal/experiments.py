@@ -237,9 +237,13 @@ def run_method(a, tensor_name, method, cfg=None, num=4, shift=None):
     its partial result: spectral error (for ``t-sipm`` the distance to the
     eigentube closest to the shift) and :func:`block_residual` for
     eigenpairs, :func:`schur_residual` for Schur pairs. A power run in
-    which no step recovered an eigentube scores None. The iterations of a
-    DLE run count only the right power iterations of its stages; the left
-    iterations on A^H, about as many again, are not counted.
+    which no step recovered an eigentube scores None. A ``t-si`` report's
+    ``error_trace`` holds each step's backward error eta, the quantity its
+    hand-off tests (see :func:`~tubal.solvers.t_subspace_iteration`); a
+    ``t-qrhs`` report's holds the active corner's subdiagonal norm. The
+    iterations of a DLE run count only the right power iterations of its
+    stages; the left iterations on A^H, about as many again, are not
+    counted.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
@@ -467,7 +471,8 @@ def _trace_tag(rep):
 
 
 def _write_trace(path, rep):
-    """The residual and stabilization error of each iteration, as CSV."""
+    """The residual and the error trace (subspace iteration's backward
+    error, shifted QR's corner subdiagonal) of each iteration, as CSV."""
     residuals = [f"{x:.16e}" for x in rep.residual_trace]
     errors = [f"{x:.16e}" for x in rep.error_trace]
     pairs = zip_longest(residuals, errors, fillvalue="")

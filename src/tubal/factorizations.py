@@ -110,10 +110,10 @@ def _strictly_lower(rows, cols):
 
 
 def _phased_q(a, full):
-    """:func:`facewise_qr`'s Q-only core, bound once to the float64 or
-    complex128 stack buffer ``a`` so a step allocates nothing: ``step(out)``
-    factors ``a`` in place, writes Q into ``out`` and returns the phases (a
-    reused buffer). Needs ``np.errstate(**_QR_ERRSTATE)``."""
+    """:func:`facewise_qr`'s Q-only core, bound to the float64 or complex128
+    stack buffer ``a`` with its buffers made once: ``step(out)`` factors
+    ``a`` in place, writes the phased Q into ``out`` and returns the phases
+    (a reused buffer). Needs ``np.errstate(**_QR_ERRSTATE)``."""
     d = a.diagonal(0, 1, 2)
     tau, mag, keep = np.empty(d.shape, a.dtype), np.empty(d.shape), np.empty(d.shape, bool)
     phase = np.empty((len(a), a.shape[1] if full else d.shape[1]), a.dtype)
@@ -141,7 +141,7 @@ def facewise_qr(stack, mode):
     :func:`numpy.linalg.qr`. Each face pair is normalized so the diagonal
     of R is real nonnegative, which makes it unique, gives conjugate faces
     conjugate factors, and keeps the iterates of methods built on this
-    kernel bit-stable, as their stop tests need. Returns complex Q and R.
+    kernel bit-stable. Returns complex Q and R.
 
     LAPACK's QR (``geqrf``, then ``orgqr`` / ``ungqr``) runs through the
     gufuncs behind ``np.linalg.qr``, one call each for the whole stack, with
@@ -149,8 +149,8 @@ def facewise_qr(stack, mode):
     complex128 stacks get its factors bit for bit. Single-precision stacks
     are factored in double precision and not rounded back. The calls and the
     phase fix are :func:`_phased_q`'s step, bound here to a copy of the
-    input; subspace iteration binds it once per solve, takes Q alone from
-    it, into its slots under one errstate per chunk, and R from Q^H * Y.
+    input. Subspace iteration calls the two gufuncs itself, without the
+    phase fix, which its backward error test does not need.
     """
     if mode not in ("complete", "reduced"):
         raise ValueError(f"unknown QR mode {mode!r}")
@@ -204,6 +204,7 @@ def t_lu(a):
     ``LU_PIVOT_RTOL`` times the face norm.
     """
     _check_square(a)
+    _check_finite(a)
     stack = _face_stack(a, a.is_real)
     pm, ls, us = sla.lu(stack)
     pivots = np.abs(np.diagonal(us, axis1=1, axis2=2)).min(axis=1)
@@ -234,6 +235,7 @@ def t_hess(a):
     """Reduce every Fourier face to upper Hessenberg form by a unitary
     similarity."""
     _check_square(a)
+    _check_finite(a)
     # one call per face: a batched hessenberg is slower than this loop
     hs, ws = zip(*(sla.hessenberg(m, calc_q=True) for m in _face_stack(a, a.is_real)))
     return THessResult(_stitch(np.array(ws), a), _stitch(np.array(hs), a))
@@ -412,6 +414,7 @@ def spectrum_of(a):
     :func:`_sort_face_eigs`). Eigentube j is the inverse transform of column j.
     """
     _check_square(a)
+    _check_finite(a)
     faces = _face_stack(a, a.is_real)
     raw = _mirror(_face_eigvals(faces), a.n)
     face_values = _sort_face_eigs(raw)
@@ -480,6 +483,7 @@ def real_t_schur(a):
     if not a.is_real:
         raise ValueError("real_t_schur requires a real tensor")
     _check_square(a)
+    _check_finite(a)
 
     def schur_face(f, m):
         if 2 * f % a.n == 0:  # faces 0 and n/2 are their own conjugates: real

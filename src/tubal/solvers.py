@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.linalg as sla
 
 from .errors import (
     BadPairing,
@@ -26,7 +27,7 @@ from .errors import (
     ZeroSlice,
 )
 from .factorizations import (_QR_ERRSTATE, _eigenslices, _facewise_inverse, _mirror,
-                             _phased_q, facewise_qr, t_hess)
+                             facewise_qr, qr_r_raw, qr_reduced, t_hess)
 from .tensors import (
     Tensor3,
     _check_finite,
@@ -54,13 +55,19 @@ RESTARTS = 3
 #: and again before a complex-shift run is abandoned.
 STAGNATION_LIMIT = 500
 
-#: The stall stop of the power family and subspace iteration: a run whose
-#: stall metric has not fallen below 0.9 times its best for STALL_WINDOW
-#: steps, with that best at most STALL_CEILING, is taken as converged to
-#: its floating point noise floor. Iterations whose eigenvalue gap is small
-#: sit on a floor near eps / gap, well above any tight tolerance.
+#: The stall stop of the power family: a run whose stall metric has not
+#: fallen below 0.9 times its best for STALL_WINDOW steps, with that best at
+#: most STALL_CEILING, is taken as converged to its floating point noise
+#: floor. Iterations whose eigenvalue gap is small sit on a floor near
+#: eps / gap, well above any tight tolerance.
 STALL_WINDOW = 200
 STALL_CEILING = 1e-8
+
+#: Subspace iteration hands its iterate to the Schur polish at the first
+#: step whose backward error eta = ||A * Q - Q * triu(R)||_F / (||A||_F
+#: ||Q||_F) is at most HANDOFF_TOL: eta still falls geometrically there,
+#: well above the roundoff floor, and one refinement reaches that floor.
+HANDOFF_TOL = 1e-10
 
 #: Steps taken between two scorings (see :func:`_iterate`). Subspace chunks
 #: past 16 make malloc hand their scoring temporaries back to the OS.
@@ -72,7 +79,9 @@ _SUBSPACE_CHUNK = 16
 class SolverConfig:
     """Knobs shared by the iterative solvers.
 
-    ``tol`` drives the stabilization tests, ``iter_max`` caps the outer
+    ``tol`` drives the stabilization tests of the power family and of the
+    unshifted QR iteration (subspace iteration hands off at the module's
+    ``HANDOFF_TOL`` instead), ``iter_max`` caps the outer
     iterations (the shifted QR runs are usually given a larger cap),
     ``power_index`` is the number of tensor products per subspace
     iteration step, ``deflation_variant`` picks the pairing slice of
@@ -119,7 +128,8 @@ class EigenPair:
 class SchurResult:
     """Partial or full Schur-type output: f-unitary slices U and the
     compressed tensor R = U^H * A * U. ``stop_reason`` is as for
-    :class:`EigenPair`."""
+    :class:`EigenPair`, with ``"tol"`` the hand-off for subspace
+    iteration."""
 
     u: Tensor3
     r: Tensor3
@@ -174,8 +184,10 @@ def _iterate(cfg, slots, take, result):
     the trace, and the first step to pass the tol test, or the stall test
     (``STALL_WINDOW``, ``STALL_CEILING``), stops the run with
     ``result(j, iterations, reason, trace)`` for slot j. The first step
-    after a start has nothing to compare with, so only its residual counts.
-    Otherwise the last kept step moves to slot 0, and ``recover()`` runs:
+    after a start has nothing to compare with, so only its residual counts,
+    unless its row has no stall metric (None: subspace iteration's backward
+    error test, which compares no steps and never stalls). Otherwise the
+    last kept step moves to slot 0, and ``recover()`` runs:
     it returns False when the step is retaken (the power family's anchor
     move, which counts no step) and True when it put a fresh start slice in
     slot 0 (a restart, which counts one). With every step kept, reaching
@@ -190,10 +202,12 @@ def _iterate(cfg, slots, take, result):
         rows, recover = take(min(chunk, cfg.iter_max - k))
         for j, (resid, ok, metric) in enumerate(rows, 1):
             trace.append(resid)
-            if j == 1 and fresh:
+            if j == 1 and fresh and metric is not None:
                 continue
             if ok:
                 return result(j, k + j, "tol", trace)
+            if metric is None:
+                continue
             if metric < 0.9 * best:
                 best, stalled = metric, 0
                 continue
@@ -518,26 +532,34 @@ def t_subspace_iteration(a, num=None, x0=None, cfg=None, rng=None):
     """Orthogonal subspace iteration for the ``num`` largest eigentubes.
 
     Each step applies the tensor ``cfg.power_index`` times, re-orthonormal-
-    izes with an economy facewise QR, and compresses R = X^H * A * X.
-    Iteration stops once the f-lower-triangular part of R (diagonal
-    included) moves by at most ``cfg.tol`` between steps, relative to the
-    magnitude of R (stop reason ``"tol"``), or once the stall detector
-    reports a noise floor (``"stall"``). ``x0``, or ``num`` random slices,
-    holds 1 to p slices; given both, ``num`` must be the width of ``x0``.
-    A NaN or infinite entry in A or ``x0`` raises :class:`NonFiniteInput`
-    before the first step.
+    izes with an economy facewise QR, and compresses R = X^H * A * X. The
+    iteration hands off at the first step whose backward error
+    eta = ||A * X - X * triu(R)||_F / (||A||_F ||X||_F) is at most
+    ``HANDOFF_TOL`` (stop reason ``"tol"``); ``error_trace`` holds eta and
+    ``residual_trace`` ||A * X - X * R||_F at every step. At the hand-off
+    the iterate is refined once (Demmel, Computing 38, 1987): X is
+    completed to an f-unitary basis, the trailing block of its compression
+    is brought to Schur form facewise, :func:`_polish_schur` polishes the
+    whole pair, and the leading ``num`` columns are returned with their
+    f-upper-triangular R. ``converged`` is True exactly when the polished
+    pair's eta is at most eps * sqrt(p * n). A capped run returns its raw
+    X and R. ``x0``, or ``num`` random slices, holds 1 to p slices; given
+    both, ``num`` must be the width of ``x0``. A NaN or infinite entry in A
+    or ``x0`` raises :class:`NonFiniteInput` before the first step.
 
     The iterate X, the product Y = A * X and R stay Fourier face stacks for
     the whole run, the leading n // 2 + 1 faces when A and X0 are real; only
     the returned tensors are transformed back. A step is the power products
-    and one Q-only phased QR (:func:`facewise_qr`'s core) into its slot of
-    X; its Y is the next step's first product. The QR step, the slot lists
-    and two buffers for the power products are bound once per solve, so a
-    step allocates nothing. No step reads R or the stop metrics, so
-    :func:`_iterate` runs the steps in chunks under one ``np.errstate``, and
-    batched products give each chunk's R (X^H * Y), its residuals and, in
-    one Parseval reduction, their norms. Q keeps its phase fix: the stop
-    tests need bit-stable iterates.
+    and LAPACK's raw QR (``geqrf``, then ``ungqr``), whose Q lands straight
+    in the step's slot of X; its Y is the next step's first product. Q
+    keeps LAPACK's phases: eta does not change when the columns of X are
+    scaled by unit phases. The QR buffers, the slot lists and two buffers
+    for the power products are bound once per solve, so a step allocates
+    nothing. No step reads R or eta, so :func:`_iterate` runs the steps in
+    chunks under one ``np.errstate``, and batched products give each
+    chunk's R (X^H * Y) and its residuals. Y - X * R is orthogonal to X, so
+    the square of eta's numerator is ||Y - X * R||^2 + ||tril(R, -1)||^2,
+    both terms from one Parseval reduction.
     """
     _check_square(a)
     cfg = cfg or SolverConfig()
@@ -557,26 +579,41 @@ def t_subspace_iteration(a, num=None, x0=None, cfg=None, rng=None):
     if num is not None and num != x0.p:
         raise ValueError(f"num is {num} but x0 has {x0.p} columns")
     _check_finite(a, x0)
-    n, cols = a.n, x0.p
+    n, p, cols = a.n, a.p, x0.p
     half = a.is_real and x0.is_real
     ahat = _face_stack(a, half)
     weights = parseval_weights(n, len(ahat))
-    lower = np.tri(cols, dtype=bool)
-    qs = np.empty((_SUBSPACE_CHUNK + 1, len(ahat), a.p, cols), complex)
+    # eta's denominator: ||X||_F is sqrt(cols); a zero A keeps the residual absolute
+    scale = parseval_norms(weights, ahat)[0] * np.sqrt(cols) or 1.0
+    qs = np.empty((_SUBSPACE_CHUNK + 1, len(ahat), p, cols), complex)
     ys = np.empty_like(qs)
+    rs = np.empty((_SUBSPACE_CHUNK + 1, len(ahat), cols, cols), complex)
     y = np.empty_like(qs[0])  # the QR input, which LAPACK overwrites
+    tau = np.empty((len(ahat), cols), complex)
     pair = (y, np.empty_like(y))  # a product into its own input copies it first
     outs = [pair[i % 2] for i in range(cfg.power_index - 2, -1, -1)]  # the last into y
-    qr, ql, yl = _phased_q(y, False), list(qs), list(ys)  # bound once: a step allocates nothing
-    # slot 0's R is read (and its change discarded) before any step fills it
-    rs = np.zeros((_SUBSPACE_CHUNK + 1, len(ahat), cols, cols), complex)
+    ql, yl = list(qs), list(ys)  # bound once: a step allocates nothing
     np.matmul(ahat, _face_stack(x0, half), out=ys[0])
-    changes = []  # the change of tril(R) at each step; step 1 has none to make
+    etas = []
+
+    def polish(q):
+        u = facewise_qr(q, "complete")[0]
+        if cols < p:
+            h = np.conj(np.swapaxes(u, 1, 2)) @ ahat @ u
+            z = np.array([sla.schur(f, output="complex")[1] for f in h[:, cols:, cols:]])
+            u[:, :, cols:] = u[:, :, cols:] @ z
+        t = np.triu(np.conj(np.swapaxes(u, 1, 2)) @ ahat @ u)
+        u, t = _polish_schur(ahat, u, t)
+        return u[:, :, :cols], t[:, :cols, :cols]
 
     def result(j, iterations, reason, trace):
-        u, rr = (Tensor3(_from_face_stack(x[j], n, half), real=half) for x in (qs, rs))
-        return SchurResult(u, rr, iterations, reason != "cap", reason,
-                           changes[1:iterations], trace)
+        u, r, converged = qs[j], rs[j], False
+        if reason == "tol":
+            u, r = polish(u)
+            (resid,) = parseval_norms(weights, ahat @ u - u @ r)
+            converged = resid / scale <= np.finfo(float).eps * np.sqrt(p * n)
+        u, r = (Tensor3(_from_face_stack(x, n, half), real=half) for x in (u, r))
+        return SchurResult(u, r, iterations, converged, reason, etas[:iterations], trace)
 
     def take(m):
         with np.errstate(**_QR_ERRSTATE):
@@ -586,15 +623,15 @@ def t_subspace_iteration(a, num=None, x0=None, cfg=None, rng=None):
                     x = np.matmul(ahat, x, out=o)
                 if x is not y:
                     np.copyto(y, x)
-                qr(ql[j])
+                qr_r_raw(y, out=tau)
+                qr_reduced(y, tau, out=ql[j])
                 np.matmul(ahat, ql[j], out=yl[j])
-        lo, hi = slice(0, m), slice(1, m + 1)
+        hi = slice(1, m + 1)
         np.matmul(np.conj(np.swapaxes(qs[hi], 2, 3)), ys[hi], out=rs[hi])
-        norms = parseval_norms(weights, ys[hi] - qs[hi] @ rs[hi], rs[hi],
-                               np.where(lower, rs[hi] - rs[lo], 0))
-        changes.extend(change for _, _, change in norms)
-        return [(resid, change <= cfg.tol * max(1.0, rnorm), change / max(1.0, rnorm))
-                for resid, rnorm, change in norms], None
+        resid, low = _parseval_norms(weights, ys[hi] - qs[hi] @ rs[hi], np.tril(rs[hi], -1)).T
+        eta = np.hypot(resid, low) / scale
+        etas.extend(eta.tolist())
+        return list(zip(resid.tolist(), (eta <= HANDOFF_TOL).tolist(), [None] * m)), None
 
     return _iterate(cfg, (qs, ys, rs), take, result)
 
@@ -735,8 +772,10 @@ def t_qr_shifted(a, cfg=None):
     On success the computed pair of every face is polished against the
     original tensor by one batched refinement (see :func:`_polish_schur`).
     The result is real exactly when the run stayed on the leading faces.
+    A NaN or infinite entry in A raises :class:`NonFiniteInput`.
     """
     _check_square(a)
+    _check_finite(a)
     cfg = cfg or SolverConfig()
     p, n = a.p, a.n
     eps = 1e-14 * a.frob_norm()

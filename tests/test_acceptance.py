@@ -149,25 +149,26 @@ def test_table5_deflation_variants():
 
 
 def test_table_s1_subspace_iteration():
-    a = make_tensor(TestTensorSpec("tridiag"))
-    results = {}
     ok = True
-    for q in (1, 4):
-        try:
-            res = t_subspace_iteration(
-                a, num=4, cfg=SolverConfig(rng_seed=0, power_index=q)
-            )
-        except NoConvergence as exc:
-            res = exc.result
-        err = spectral_error(a, res.diag_tubes())
-        results[q] = (res, err)
-        ok = ok and res.converged and err <= 1e-12
-    ok = ok and results[4][0].iterations < results[1][0].iterations
+    details = []
+    for name in ("tridiag", "complex"):
+        a = make_tensor(TestTensorSpec(name))
+        iters = {}
+        for q in (1, 4):
+            try:
+                res = t_subspace_iteration(
+                    a, num=4, cfg=SolverConfig(rng_seed=0, power_index=q)
+                )
+            except NoConvergence as exc:
+                res = exc.result
+            err = spectral_error(a, res.diag_tubes())
+            rn = schur_residual(a, res.u, res.r)
+            iters[q] = res.iterations
+            ok = ok and res.converged and err <= 1e-12 and rn <= 1e-12
+            details.append(f"{name} q={q}: iter={res.iterations} err={err:.2e} res={rn:.2e}")
+        ok = ok and iters[4] < iters[1]
     _criterion(
-        "table s1 (subspace iteration, power index 1 vs 4)",
-        ok,
-        f"iters q=1: {results[1][0].iterations}, q=4: {results[4][0].iterations}; "
-        f"errors {results[1][1]:.2e}, {results[4][1]:.2e}",
+        "table s1 (subspace iteration, power index 1 vs 4)", ok, "; ".join(details)
     )
 
 

@@ -948,7 +948,8 @@ def test_in_range_rank_deficient_square(rng):
 
 _NON_FINITE_CHILD = textwrap.dedent("""
     import numpy as np
-    from tubal import NonFiniteInput, Tensor3, in_range, t_inverse, t_null_basis, t_svd
+    from tubal import (NonFiniteInput, Tensor3, in_range, real_t_schur, spectrum_of, t_hess,
+                       t_inverse, t_lu, t_null_basis, t_qr_shifted, t_svd)
 
     missed = []
     rng = np.random.default_rng(0)
@@ -962,7 +963,11 @@ _NON_FINITE_CHILD = textwrap.dedent("""
                 calls = {"in_range": lambda: in_range(a, y)}
                 if where == "a":
                     calls.update(t_svd=lambda: t_svd(a), t_null_basis=lambda: t_null_basis(a),
-                                 t_inverse=lambda: t_inverse(a))
+                                 t_inverse=lambda: t_inverse(a), t_lu=lambda: t_lu(a),
+                                 t_hess=lambda: t_hess(a), t_qr_shifted=lambda: t_qr_shifted(a),
+                                 spectrum_of=lambda: spectrum_of(a))
+                    if real:
+                        calls["real_t_schur"] = lambda: real_t_schur(a)
                 for name, call in calls.items():
                     try:
                         call()

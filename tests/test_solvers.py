@@ -32,6 +32,7 @@ from tubal import (
     identity,
     slice_inner,
     spectrum_of,
+    t_inverse,
     t_inverse_power,
     t_max,
     t_power,
@@ -433,8 +434,9 @@ def _schur_bits(solve):
     except NoConvergence as exc:
         res, capped = exc.result, exc.iterations
     return (
-        capped, res.iterations, res.stop_reason, res.u.data.tobytes(), res.r.data.tobytes(),
-        np.array(res.error_trace).tobytes(), np.array(res.residual_trace).tobytes(),
+        capped, res.iterations, res.stop_reason, res.converged, res.u.data.tobytes(),
+        res.r.data.tobytes(), np.array(res.error_trace).tobytes(),
+        np.array(res.residual_trace).tobytes(),
     )
 
 
@@ -442,7 +444,8 @@ def _schur_bits(solve):
 @pytest.mark.parametrize("kind, tol", [("tridiag", 1e-15), ("complex", 1e-15), ("tridiag", 1e-300)])
 def test_subspace_chunked_scoring_matches_per_step_scoring(kind, tol, power_index, monkeypatch):
     # caps at, next to and across subspace iteration's chunk boundaries, and
-    # the default cap; at tol 1e-300 the tridiag runs stop on the stall detector
+    # the default cap, where every run hands off; cfg.tol does not drive the
+    # hand-off, so at tol 1e-300 the tridiag runs hand off as well
     a = make_tensor(kind)
     caps = _chunk_caps(solvers._SUBSPACE_CHUNK)
 
@@ -451,54 +454,58 @@ def test_subspace_chunked_scoring_matches_per_step_scoring(kind, tol, power_inde
         return _schur_bits(lambda: t_subspace_iteration(a, num=4, cfg=cfg))
 
     chunked = [bits(c) for c in caps]
-    if tol < 1e-15:
-        assert chunked[-1][2] == "stall"
+    assert chunked[-1][2:4] == ("tol", True)
     monkeypatch.setattr(solvers, "_SUBSPACE_CHUNK", 1)
     assert [bits(c) for c in caps] == chunked
 
 
-# A plain per-step subspace loop on the public facewise QR: the power
-# products, Q of facewise_qr, Y = A * Q, R = Q^H * Y and the stop tests of
-# one step at a time. Kept as the reference for the chunked loop, whose
-# steps write Q straight into their slots.
+# A plain per-step subspace loop on public routines: the power products, Q
+# of np.linalg.qr (LAPACK's phases, as in the solver), Y = A * Q,
+# R = Q^H * Y, the backward error eta of one step at a time and, at the
+# hand-off, the refinement. Kept as the reference for the chunked loop,
+# whose steps write Q straight into their slots.
+
+
+def _reference_polish(ahat, q):
+    k = q.shape[2]
+    u = facewise_qr(q, "complete")[0]
+    if k < u.shape[1]:
+        h = np.conj(np.swapaxes(u, 1, 2)) @ ahat @ u
+        z = np.array([sla.schur(f, output="complex")[1] for f in h[:, k:, k:]])
+        u[:, :, k:] = u[:, :, k:] @ z
+    t = np.triu(np.conj(np.swapaxes(u, 1, 2)) @ ahat @ u)
+    u, t = solvers._polish_schur(ahat, u, t)
+    return u[:, :, :k], t[:, :k, :k]
 
 
 def _reference_subspace_bits(a, x0, cfg):
     half = a.is_real and x0.is_real
     ahat = _face_stack(a, half)
     weights = parseval_weights(a.n, len(ahat))
-    lower = np.tri(x0.p, dtype=bool)
+    scale = parseval_norms(weights, ahat)[0] * np.sqrt(x0.p) or 1.0
     y = ahat @ _face_stack(x0, half)
-    r_old = np.zeros((len(ahat), x0.p, x0.p), complex)
-    trace, changes, best, stalled = [], [], np.inf, 0
-    reason = "cap"
+    trace, etas, reason = [], [], "cap"
     for k in range(1, cfg.iter_max + 1):
         for _ in range(cfg.power_index - 1):
             y = ahat @ y
-        q = facewise_qr(y, "reduced")[0]
+        q = np.linalg.qr(y)[0]
         y = ahat @ q
         r = np.conj(np.swapaxes(q, 1, 2)) @ y
-        resid, rnorm, change = parseval_norms(weights, y - q @ r, r, np.where(lower, r - r_old, 0))
+        resid, low = parseval_norms(weights, y - q @ r, np.tril(r, -1))
         trace.append(resid)
-        changes.append(change)
-        r_old = r
-        if k == 1:
-            continue
-        if change <= cfg.tol * max(1.0, rnorm):
+        etas.append(np.hypot(resid, low) / scale)
+        if etas[-1] <= solvers.HANDOFF_TOL:
             reason = "tol"
             break
-        metric = change / max(1.0, rnorm)
-        if metric < 0.9 * best:
-            best, stalled = metric, 0
-            continue
-        stalled += 1
-        if stalled >= solvers.STALL_WINDOW and best <= solvers.STALL_CEILING:
-            reason = "stall"
-            break
+    converged = False
+    if reason == "tol":
+        q, r = _reference_polish(ahat, q)
+        eta = parseval_norms(weights, ahat @ q - q @ r)[0] / scale
+        converged = eta <= np.finfo(float).eps * np.sqrt(a.p * a.n)
     u, rr = (Tensor3(_from_face_stack(x, a.n, half), real=half) for x in (q, r))
     return (
-        k if reason == "cap" else None, k, reason, u.data.tobytes(), rr.data.tobytes(),
-        np.array(changes[1:k]).tobytes(), np.array(trace).tobytes(),
+        k if reason == "cap" else None, k, reason, converged, u.data.tobytes(),
+        rr.data.tobytes(), np.array(etas).tobytes(), np.array(trace).tobytes(),
     )
 
 
@@ -521,8 +528,9 @@ def _reference_subspace_bits(a, x0, cfg):
 )
 def test_subspace_matches_per_step_reference(kind, num, power_index, given, tol):
     # caps at, next to and across the chunk boundaries of 16 steps, and the
-    # default cap, where the runs stop on the tol test, the stall detector
-    # (tol 1e-300) or the cap; odd_* are random 5 x 5 x 5 tensors (p = 5)
+    # default cap, where the runs hand off or (complex num 10, odd_real
+    # num 2 and 5) hit the cap; cfg.tol (1e-300 on two cases) must not move
+    # them; odd_* are random 5 x 5 x 5 tensors (p = 5)
     rng = np.random.default_rng(5)
     if kind.startswith("odd"):
         a = random_tensor(rng, 5, 5, 5, real=kind == "odd_real")
@@ -997,6 +1005,108 @@ def test_cap_reports_the_last_residual(solver):
     assert info.value.last_residual == info.value.result.residual_trace[-1]
 
 
+def _subspace_eta(a, res):
+    """The backward error of a subspace result from spatial products:
+    ||A * U - U * triu(R)||_F / (||A||_F ||U||_F)."""
+    upper = res.r - f_tril(res.r, strict=True)
+    resid = (t_product(a, res.u) - t_product(res.u, upper)).frob_norm()
+    return resid / (a.frob_norm() * res.u.frob_norm())
+
+
+def _certificate(a):
+    return np.finfo(float).eps * np.sqrt(a.p * a.n)
+
+
+def test_subspace_counts_do_not_need_the_phase_fix(monkeypatch):
+    # eta does not change when the columns of Q are scaled by unit phases,
+    # so normalizing R's diagonal real nonnegative at every step, as
+    # facewise_qr does, must leave the ts1 rows' counts as they are
+    raw_q, fixed = solvers.qr_reduced, []
+
+    def phased_q(a, tau, out):
+        raw_q(a, tau, out=out)
+        d = np.diagonal(a, axis1=1, axis2=2)  # R's diagonal, left in a by geqrf
+        mag = np.abs(d)
+        phase = np.divide(d, mag, out=np.ones_like(d), where=mag >= np.finfo(float).tiny)
+        fixed.append(bool((np.abs(phase - 1) > 0.5).any()))
+        out *= phase[:, None, :]
+        return out
+
+    def counts():
+        rows = []
+        for kind in ("tridiag", "complex"):
+            for q in (1, 4):
+                res = t_subspace_iteration(make_tensor(kind), num=4, cfg=SolverConfig(power_index=q))
+                rows.append((res.iterations, res.stop_reason, res.converged))
+        return rows
+
+    plain = counts()
+    monkeypatch.setattr(solvers, "qr_reduced", phased_q)
+    assert counts() == plain
+    assert any(fixed)
+    assert all(row[1:] == ("tol", True) for row in plain)
+
+
+def test_subspace_converged_is_the_certificate(monkeypatch):
+    # converged means the polished pair's eta is at most eps * sqrt(p * n);
+    # without the refinement the handed-off pair (eta near HANDOFF_TOL)
+    # misses it, and the run stops as before but reports not converged
+    a = make_tensor("complex")
+    cfg = SolverConfig(power_index=4)
+    res = t_subspace_iteration(a, num=4, cfg=cfg)
+    assert (res.stop_reason, res.converged) == ("tol", True)
+    assert _subspace_eta(a, res) <= _certificate(a)
+    assert res.error_trace[-1] <= solvers.HANDOFF_TOL < min(res.error_trace[:-1])
+    assert not f_tril(res.r, strict=True).data.any()
+    monkeypatch.setattr(solvers, "_polish_schur", lambda m, u, t: (u, t))
+    raw = t_subspace_iteration(a, num=4, cfg=cfg)
+    assert (raw.iterations, raw.stop_reason, raw.converged) == (res.iterations, "tol", False)
+    assert _subspace_eta(a, raw) > _certificate(a)
+
+
+def test_subspace_cap_returns_the_raw_pair(monkeypatch):
+    # a capped run is not refined: it returns its last iterate X and
+    # R = X^H * A * X, strictly lower part included, with its last residual
+    a = make_tensor("complex")
+    monkeypatch.setattr(solvers, "_polish_schur", None)  # never called
+    with pytest.raises(NoConvergence) as info:
+        t_subspace_iteration(a, num=4, cfg=SolverConfig(iter_max=40))
+    res = info.value.result
+    assert (res.iterations, res.stop_reason, res.converged) == (40, "cap", False)
+    assert info.value.last_residual == res.residual_trace[-1]
+    compressed = t_product(conj_transpose(res.u), t_product(a, res.u))
+    assert (compressed - res.r).frob_norm() <= 1e-12 * a.frob_norm()
+    assert f_tril(res.r, strict=True).frob_norm() > 1e-3
+    assert_allclose(_subspace_eta(a, res), res.error_trace[-1], rtol=1e-8)
+
+
+def test_subspace_real_input_gives_a_real_result():
+    # realeig is real with real eigentubes; the run stays on the leading
+    # faces, and the polished pair comes back exactly real
+    a = make_tensor("realeig")
+    res = t_subspace_iteration(a, num=4)
+    assert res.converged and res.u.is_real and res.r.is_real
+    assert not res.u.data.imag.any() and not res.r.data.imag.any()
+    assert _subspace_eta(a, res) <= _certificate(a)
+    exact = spectrum_of(a).eigentubes[:4]
+    assert spectral_distance(res.diag_tubes(), exact) <= 1e-12 * a.frob_norm()
+
+
+def test_subspace_full_width_has_no_trailing_block(rng, monkeypatch):
+    # num = p: X is already square, so no trailing block is brought to
+    # Schur form, and the polish refines the whole basis
+    a, _ = well_separated_f_diagonal(rng, 4, 3)
+    x = Tensor3(identity(4, 3).data + 0.2 * rng.standard_normal((4, 4, 3)))
+    a = t_product(t_product(x, a), t_inverse(x))
+    schur = []
+    monkeypatch.setattr(sla, "schur", lambda *args, **kw: schur.append(1))
+    res = t_subspace_iteration(a, num=4)
+    assert not schur
+    assert (res.stop_reason, res.converged) == ("tol", True)
+    assert res.u.shape == (4, 4, 3) and res.r.shape == (4, 4, 3)
+    assert _subspace_eta(a, res) <= _certificate(a)
+
+
 @pytest.mark.parametrize("iter_max", [1, 2])
 @pytest.mark.parametrize("real", [True, False])
 def test_subspace_partial_result_is_spatial(rng, iter_max, real):
@@ -1007,13 +1117,13 @@ def test_subspace_partial_result_is_spatial(rng, iter_max, real):
     assert res.iterations == iter_max and not res.converged
     assert res.u.shape == (5, 3, 4) and res.r.shape == (3, 3, 4)
     assert res.u.is_real == res.r.is_real == real
-    assert len(res.residual_trace) == iter_max
-    assert len(res.error_trace) == iter_max - 1
+    assert len(res.residual_trace) == len(res.error_trace) == iter_max
     assert_allclose(
         (t_product(a, res.u) - t_product(res.u, res.r)).frob_norm(),
         res.residual_trace[-1],
         rtol=1e-8,
     )
+    assert_allclose(_subspace_eta(a, res), res.error_trace[-1], rtol=1e-8)
 
 
 def test_subspace_start_shape_checked():
