@@ -109,31 +109,6 @@ def _strictly_lower(rows, cols):
     return np.tri(rows, cols, -1, dtype=bool)
 
 
-def _phased_q(a, full):
-    """:func:`facewise_qr`'s Q-only core, bound to the float64 or complex128
-    stack buffer ``a`` with its buffers made once: ``step(out)`` factors
-    ``a`` in place, writes the phased Q into ``out`` and returns the phases
-    (a reused buffer). Needs ``np.errstate(**_QR_ERRSTATE)``."""
-    d = a.diagonal(0, 1, 2)
-    tau, mag, keep = np.empty(d.shape, a.dtype), np.empty(d.shape), np.empty(d.shape, bool)
-    phase = np.empty((len(a), a.shape[1] if full else d.shape[1]), a.dtype)
-    lead, spread = phase[:, : d.shape[1]], phase[:, None, :]
-    qr = qr_complete if full else qr_reduced
-
-    def step(out):
-        qr_r_raw(a, out=tau)
-        qr(a, tau, out=out)
-        # phase 1, refilled each call, where d / |d| would overflow and for
-        # Q's columns past R's diagonal
-        np.greater_equal(np.abs(d, out=mag), _TINY, out=keep)
-        phase.fill(1)
-        np.divide(d, mag, out=lead, where=keep)
-        np.multiply(out, spread, out=out)
-        return phase
-
-    return step
-
-
 def facewise_qr(stack, mode):
     """QR of every face of an (faces, l, p) stack in one batched call.
 
@@ -147,10 +122,9 @@ def facewise_qr(stack, mode):
     gufuncs behind ``np.linalg.qr``, one call each for the whole stack, with
     that function's error handling but not its wrapper costs: float64 and
     complex128 stacks get its factors bit for bit. Single-precision stacks
-    are factored in double precision and not rounded back. The calls and the
-    phase fix are :func:`_phased_q`'s step, bound here to a copy of the
-    input. Subspace iteration calls the two gufuncs itself, without the
-    phase fix, which its backward error test does not need.
+    are factored in double precision and not rounded back. Subspace
+    iteration calls the two gufuncs itself, without the phase fix, which its
+    backward error test does not need.
     """
     if mode not in ("complete", "reduced"):
         raise ValueError(f"unknown QR mode {mode!r}")
@@ -161,9 +135,17 @@ def facewise_qr(stack, mode):
     k = rows if full else min(rows, cols)
     q = np.empty((faces, rows, k), complex)
     with np.errstate(**_QR_ERRSTATE):
-        phase = _phased_q(a, full)(q).astype(complex, copy=False)
+        tau = qr_r_raw(a)
+        (qr_complete if full else qr_reduced)(a, tau, out=q)
+    # the phase d / |d| of R's diagonal entry d, kept in the input's dtype
+    # until R is built; 1 where it would overflow and past R's diagonal
+    d = a.diagonal(0, 1, 2)
+    mag = np.abs(d)
+    phase = np.ones((faces, k), a.dtype)
+    np.divide(d, mag, out=phase[:, : d.shape[1]], where=mag >= _TINY)
+    q *= phase[:, None, :]
     r = np.where(_strictly_lower(k, cols), 0, a[:, :k])
-    return q, np.conj(phase)[:, :, None] * r
+    return q, np.conj(phase.astype(complex, copy=False))[:, :, None] * r
 
 
 def t_qr(a, mode="complete"):
@@ -174,6 +156,7 @@ def t_qr(a, mode="complete"):
     are factored by :func:`facewise_qr`, so the diagonal of R is real
     nonnegative.
     """
+    _check_finite(a)
     qs, rs = facewise_qr(_face_stack(a, a.is_real), mode)
     return TQrResult(_stitch(qs, a), _stitch(rs, a))
 
@@ -280,6 +263,7 @@ def t_svd(a):
 def t_det(a):
     """Determinant tube: Fourier entry i is det of Fourier face i."""
     _check_square(a)
+    _check_finite(a)
     dets = _mirror(np.linalg.det(_face_stack(a, a.is_real)), a.n)
     return _maybe_real_tubes(dets[:, None])[0]
 

@@ -607,11 +607,8 @@ def t_subspace_iteration(a, num=None, x0=None, cfg=None, rng=None):
         return u[:, :, :cols], t[:, :cols, :cols]
 
     def result(j, iterations, reason, trace):
-        u, r, converged = qs[j], rs[j], False
-        if reason == "tol":
-            u, r = polish(u)
-            (resid,) = parseval_norms(weights, ahat @ u - u @ r)
-            converged = resid / scale <= np.finfo(float).eps * np.sqrt(p * n)
+        u, r = polish(qs[j]) if reason == "tol" else (qs[j], rs[j])
+        converged = reason == "tol" and _schur_certified(ahat, u, r, weights, n)
         u, r = (Tensor3(_from_face_stack(x, n, half), real=half) for x in (u, r))
         return SchurResult(u, r, iterations, converged, reason, etas[:iterations], trace)
 
@@ -661,9 +658,11 @@ def t_qr_unshifted(a, cfg=None, keep_history=False):
     :func:`facewise_qr` call and two batched products; the accumulated R
     and the spatial :class:`QrIterate` history are built only with
     ``keep_history``. Stops when the strictly f-lower-triangular mass, by
-    Parseval, falls below ``cfg.tol * max(1, ||A||_F)``.
+    Parseval, falls below ``cfg.tol * max(1, ||A||_F)``. A NaN or infinite
+    entry in A raises :class:`NonFiniteInput`.
     """
     _check_square(a)
+    _check_finite(a)
     cfg = cfg or SolverConfig()
     n, half = a.n, a.is_real
     a_k = _face_stack(a, half)
@@ -750,6 +749,17 @@ def _polish_schur(m, u, t):
     return u, t
 
 
+def _schur_certified(m, u, t, weights, n):
+    """Whether the Schur pair (U, T) of A passes both Schur solvers'
+    certificate, eta = ||A * U - U * T||_F / (||A||_F ||U||_F) <= eps *
+    sqrt(p * n), by Parseval with ``weights`` on the face stacks m, u, t."""
+    p, cols = u.shape[1:]
+    # ||U||_F is sqrt(cols) for f-orthonormal U; a zero A keeps eta absolute
+    scale = parseval_norms(weights, m)[0] * np.sqrt(cols) or 1.0
+    (resid,) = parseval_norms(weights, m @ u - u @ t)
+    return bool(resid / scale <= np.finfo(float).eps * np.sqrt(p * n))
+
+
 def t_qr_shifted(a, cfg=None):
     """Shifted QR iteration on the f-Hessenberg form.
 
@@ -769,8 +779,9 @@ def t_qr_shifted(a, cfg=None):
     complex variant once, which is not conjugate-symmetric, so the stacks
     are mirrored to all n faces; then the run is abandoned with stop reason
     ``"stall"`` and ``converged`` False.
-    On success the computed pair of every face is polished against the
-    original tensor by one batched refinement (see :func:`_polish_schur`).
+    Once every row has deflated (stop reason ``"tol"``) the pair of every
+    face is polished against the original tensor by one batched refinement
+    (:func:`_polish_schur`); ``converged`` means it passes the certificate.
     The result is real exactly when the run stayed on the leading faces.
     A NaN or infinite entry in A raises :class:`NonFiniteInput`.
     """
@@ -791,8 +802,9 @@ def t_qr_shifted(a, cfg=None):
 
     def finish(reason, iterations):
         u, t = _polish_schur(a_faces, us, hs) if reason == "tol" else (us, hs)
+        converged = reason == "tol" and _schur_certified(a_faces, u, t, w, n)
         u, t = (Tensor3(_from_face_stack(x, n, half), real=half) for x in (u, t))
-        return SchurResult(u, t, iterations, reason == "tol", reason, err_trace, [])
+        return SchurResult(u, t, iterations, converged, reason, err_trace, [])
 
     if p == 1:
         return finish("tol", 0)

@@ -4,7 +4,8 @@ Binary ``.t3b``: a 16 byte header (4 byte magic ``T3B\\0``, u32 version,
 u32 CRC-32, u32 reserved), then little-endian u64 dimensions (l, p, n),
 one u8 reality flag, and l*p*n complex entries as little-endian f64
 (re, im) pairs, face major and row major within a face. The checksum
-covers everything after the header.
+covers everything after the header. Reading refuses a NaN or infinite
+entry with :class:`~tubal.errors.NonFiniteInput`; writing does not check.
 
 The JSON sidecar carries the same payload base64 encoded, for small
 fixtures that want to live in version control.
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MalformedFile, UnknownFormat
-from .tensors import Tensor3
+from .tensors import Tensor3, _check_finite
 
 MAGIC = b"T3B\x00"
 VERSION = 1
@@ -74,7 +75,9 @@ def _parse(body):
         raise MalformedFile(f"unknown reality flag {flag}")
     if flag == 1 and np.any(data.imag):
         raise MalformedFile("reality flag set but entries carry imaginary parts")
-    return Tensor3(data, real=bool(flag))
+    t = Tensor3(data, real=bool(flag))
+    _check_finite(t)
+    return t
 
 
 def write_t3b(t, path):

@@ -1005,8 +1005,8 @@ def test_cap_reports_the_last_residual(solver):
     assert info.value.last_residual == info.value.result.residual_trace[-1]
 
 
-def _subspace_eta(a, res):
-    """The backward error of a subspace result from spatial products:
+def _schur_eta(a, res):
+    """The backward error of a Schur result from spatial products:
     ||A * U - U * triu(R)||_F / (||A||_F ||U||_F)."""
     upper = res.r - f_tril(res.r, strict=True)
     resid = (t_product(a, res.u) - t_product(res.u, upper)).frob_norm()
@@ -1055,13 +1055,13 @@ def test_subspace_converged_is_the_certificate(monkeypatch):
     cfg = SolverConfig(power_index=4)
     res = t_subspace_iteration(a, num=4, cfg=cfg)
     assert (res.stop_reason, res.converged) == ("tol", True)
-    assert _subspace_eta(a, res) <= _certificate(a)
+    assert _schur_eta(a, res) <= _certificate(a)
     assert res.error_trace[-1] <= solvers.HANDOFF_TOL < min(res.error_trace[:-1])
     assert not f_tril(res.r, strict=True).data.any()
     monkeypatch.setattr(solvers, "_polish_schur", lambda m, u, t: (u, t))
     raw = t_subspace_iteration(a, num=4, cfg=cfg)
     assert (raw.iterations, raw.stop_reason, raw.converged) == (res.iterations, "tol", False)
-    assert _subspace_eta(a, raw) > _certificate(a)
+    assert _schur_eta(a, raw) > _certificate(a)
 
 
 def test_subspace_cap_returns_the_raw_pair(monkeypatch):
@@ -1077,7 +1077,7 @@ def test_subspace_cap_returns_the_raw_pair(monkeypatch):
     compressed = t_product(conj_transpose(res.u), t_product(a, res.u))
     assert (compressed - res.r).frob_norm() <= 1e-12 * a.frob_norm()
     assert f_tril(res.r, strict=True).frob_norm() > 1e-3
-    assert_allclose(_subspace_eta(a, res), res.error_trace[-1], rtol=1e-8)
+    assert_allclose(_schur_eta(a, res), res.error_trace[-1], rtol=1e-8)
 
 
 def test_subspace_real_input_gives_a_real_result():
@@ -1087,7 +1087,7 @@ def test_subspace_real_input_gives_a_real_result():
     res = t_subspace_iteration(a, num=4)
     assert res.converged and res.u.is_real and res.r.is_real
     assert not res.u.data.imag.any() and not res.r.data.imag.any()
-    assert _subspace_eta(a, res) <= _certificate(a)
+    assert _schur_eta(a, res) <= _certificate(a)
     exact = spectrum_of(a).eigentubes[:4]
     assert spectral_distance(res.diag_tubes(), exact) <= 1e-12 * a.frob_norm()
 
@@ -1104,7 +1104,7 @@ def test_subspace_full_width_has_no_trailing_block(rng, monkeypatch):
     assert not schur
     assert (res.stop_reason, res.converged) == ("tol", True)
     assert res.u.shape == (4, 4, 3) and res.r.shape == (4, 4, 3)
-    assert _subspace_eta(a, res) <= _certificate(a)
+    assert _schur_eta(a, res) <= _certificate(a)
 
 
 @pytest.mark.parametrize("iter_max", [1, 2])
@@ -1123,7 +1123,7 @@ def test_subspace_partial_result_is_spatial(rng, iter_max, real):
         res.residual_trace[-1],
         rtol=1e-8,
     )
-    assert_allclose(_subspace_eta(a, res), res.error_trace[-1], rtol=1e-8)
+    assert_allclose(_schur_eta(a, res), res.error_trace[-1], rtol=1e-8)
 
 
 def test_subspace_start_shape_checked():
@@ -1377,6 +1377,20 @@ def test_qr_shifted_stall_raises_with_partial_result():
     assert res.iterations == 2 * solvers.STAGNATION_LIMIT
     resid = (t_product(a, res.u) - t_product(res.u, res.r)).frob_norm()
     assert resid <= 1e-12 * a.frob_norm()
+
+
+def test_qr_shifted_converged_is_the_certificate(monkeypatch):
+    # converged means the polished pair's eta is at most eps * sqrt(p * n);
+    # without the refinement both t10 rows deflate at the same sweep, stop
+    # at "tol" as before, and miss the certificate
+    for polished in (True, False):
+        if not polished:
+            monkeypatch.setattr(solvers, "_polish_schur", lambda m, u, t: (u, t))
+        for name, cshift, sweeps in (("tridiag", False, 54), ("stochastic", True, 108)):
+            a = make_tensor(name)
+            res = t_qr_shifted(a, cfg=SolverConfig(iter_max=30000, complex_shift=cshift))
+            assert (res.iterations, res.stop_reason, res.converged) == (sweeps, "tol", polished)
+            assert (_schur_eta(a, res) <= _certificate(a)) == polished
 
 
 def _residuals(m, u, t):

@@ -6,7 +6,9 @@ import pytest
 
 import tubal
 from conftest import random_tensor
-from tubal import MalformedFile, Tensor3, TubalError, UnknownFormat, read_tensor, write_tensor
+from tubal import (
+    MalformedFile, NonFiniteInput, Tensor3, TubalError, UnknownFormat, read_tensor, write_tensor,
+)
 from tubal.experiments import TestTensorSpec, make_tensor
 from tubal.tensorio import read_json, read_t3b, write_file, write_json, write_t3b
 
@@ -45,12 +47,12 @@ def _bits(t):
 @pytest.mark.parametrize("suffix", [".t3b", ".json"])
 @pytest.mark.parametrize("real", [True, False])
 def test_roundtrip_keeps_every_bit(tmp_path, suffix, real):
-    # signed zeros, infinities beside finite parts, NaN payloads and
-    # subnormals: a read that rebuilds re + 1j * im turns 1 + inf j into
-    # NaN + inf j and -0.0 + 0j into +0.0
+    # signed zeros, the largest floats and subnormals: a read that rebuilds
+    # re + 1j * im turns -0.0 + 0j into +0.0. An infinity or a NaN payload
+    # is written, and refused on reading
     tiny = np.float64(5e-324)
-    payload_nan = np.array(0x7FF8_0000_0000_1234, dtype=np.uint64).view(np.float64)
-    entries = np.array([-0.0, 0.0, 1.0, -np.inf, np.inf, tiny, -tiny, payload_nan])
+    big = np.finfo(float).max
+    entries = np.array([-0.0, 0.0, 1.0, -big, big, tiny, -tiny, -1.0])
     data = np.zeros(8, dtype=np.complex128)
     data.real = entries
     if not real:
@@ -61,6 +63,12 @@ def test_roundtrip_keeps_every_bit(tmp_path, suffix, real):
     back = read_tensor(path)
     assert back.is_real == real
     assert np.array_equal(_bits(back), _bits(a))
+    payload_nan = np.array(0x7FF8_0000_0000_1234, dtype=np.uint64).view(np.float64)
+    for bad in (np.inf, payload_nan):
+        data[3] = bad
+        write_tensor(Tensor3(data.reshape(2, 2, 2), real=real), path)
+        with pytest.raises(NonFiniteInput):
+            read_tensor(path)
 
 
 def test_cross_format_equality(tmp_path, rng):
