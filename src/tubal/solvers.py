@@ -32,6 +32,7 @@ from .tensors import (
     Tensor3,
     _check_finite,
     _check_square,
+    _face_squares,
     _face_stack,
     _from_face_stack,
     _parseval_norms,
@@ -68,6 +69,13 @@ STALL_CEILING = 1e-8
 #: ||Q||_F) is at most HANDOFF_TOL: eta still falls geometrically there,
 #: well above the roundoff floor, and one refinement reaches that floor.
 HANDOFF_TOL = 1e-10
+
+#: A Fourier face of subspace iteration locks at the first step whose own
+#: share of eta's numerator, sqrt(w_f (||Y_f - Q_f R_f||^2 +
+#: ||tril(R_f, -1)||^2)), is at most LOCK_TOL ||A||_F ||Q||_F: it keeps that
+#: step's iterate and later steps skip it. With every face locked, eta is at
+#: most sqrt(faces) * LOCK_TOL, below HANDOFF_TOL up to a million faces.
+LOCK_TOL = HANDOFF_TOL / 1000
 
 #: Steps taken between two scorings (see :func:`_iterate`). Subspace chunks
 #: past 16 make malloc hand their scoring temporaries back to the OS.
@@ -543,23 +551,42 @@ def t_subspace_iteration(a, num=None, x0=None, cfg=None, rng=None):
     whole pair, and the leading ``num`` columns are returned with their
     f-upper-triangular R. ``converged`` is True exactly when the polished
     pair's eta is at most eps * sqrt(p * n). A capped run returns its raw
-    X and R. ``x0``, or ``num`` random slices, holds 1 to p slices; given
-    both, ``num`` must be the width of ``x0``. A NaN or infinite entry in A
-    or ``x0`` raises :class:`NonFiniteInput` before the first step.
+    X and R, its locked faces (below) as of their lock step, at a share of
+    eta near ``LOCK_TOL`` rather than at the roundoff floor. ``x0``, or
+    ``num`` random slices, holds 1 to p slices; given both, ``num`` must be
+    the width of ``x0``. A NaN or infinite entry in A or ``x0`` raises
+    :class:`NonFiniteInput` before the first step.
+
+    Each Fourier face is its own matrix subspace iteration, and faces
+    converge at their own rates. A face locks at the first step whose own
+    share of eta's numerator, sqrt(w_f (||Y_f - X_f R_f||^2 +
+    ||tril(R_f, -1)||^2)) with Parseval weight w_f, is at most
+    ``LOCK_TOL`` ||A||_F ||X||_F (``LOCK_TOL`` = ``HANDOFF_TOL`` / 1000):
+    it keeps that step's X, Y and R, and later steps and scorings skip it.
+    Eta at every later step sums every face's latest share, the locked
+    faces' frozen ones included, so it stays the backward error of the pair
+    the run would return, and the hand-off and the certificate keep their
+    meaning.
 
     The iterate X, the product Y = A * X and R stay Fourier face stacks for
     the whole run, the leading n // 2 + 1 faces when A and X0 are real; only
-    the returned tensors are transformed back. A step is the power products
-    and LAPACK's raw QR (``geqrf``, then ``ungqr``), whose Q lands straight
-    in the step's slot of X; its Y is the next step's first product. Q
-    keeps LAPACK's phases: eta does not change when the columns of X are
-    scaled by unit phases. The QR buffers, the slot lists and two buffers
-    for the power products are bound once per solve, so a step allocates
-    nothing. No step reads R or eta, so :func:`_iterate` runs the steps in
-    chunks under one ``np.errstate``, and batched products give each
-    chunk's R (X^H * Y) and its residuals. Y - X * R is orthogonal to X, so
-    the square of eta's numerator is ||Y - X * R||^2 + ||tril(R, -1)||^2,
-    both terms from one Parseval reduction.
+    the returned tensors are transformed back, in the original face order.
+    A step is the power products and LAPACK's raw QR (``geqrf``, then
+    ``ungqr``) on the active faces, whose Q lands straight in the step's
+    slot of X; its Y is the next step's first product. Q keeps LAPACK's
+    phases: eta does not change when the columns of X are scaled by unit
+    phases. The active faces are a prefix of every stack: the QR buffers,
+    the slot lists and two buffers for the power products are bound to it
+    at the start and again when faces lock, so a step allocates nothing. No
+    step reads R or eta, so :func:`_iterate` runs the steps in chunks under
+    one ``np.errstate``, and batched products give each chunk's R
+    (X^H * Y) and every active face's two squared norms. Y - X * R is
+    orthogonal to X, so the square of eta's numerator is ||Y - X * R||^2 +
+    ||tril(R, -1)||^2, each summed over the faces in their original order.
+    The lock is decided per step: a face that locks within a chunk has the
+    chunk's later steps overwritten with its lock-step iterate and share,
+    and the faces that locked move behind the active ones when the next
+    chunk starts, so the results do not depend on the chunk length.
     """
     _check_square(a)
     cfg = cfg or SolverConfig()
@@ -582,19 +609,44 @@ def t_subspace_iteration(a, num=None, x0=None, cfg=None, rng=None):
     n, p, cols = a.n, a.p, x0.p
     half = a.is_real and x0.is_real
     ahat = _face_stack(a, half)
-    weights = parseval_weights(n, len(ahat))
+    nf = len(ahat)
+    weights = parseval_weights(n, nf)
     # eta's denominator: ||X||_F is sqrt(cols); a zero A keeps the residual absolute
     scale = parseval_norms(weights, ahat)[0] * np.sqrt(cols) or 1.0
-    qs = np.empty((_SUBSPACE_CHUNK + 1, len(ahat), p, cols), complex)
+    qs = np.empty((_SUBSPACE_CHUNK + 1, nf, p, cols), complex)
     ys = np.empty_like(qs)
-    rs = np.empty((_SUBSPACE_CHUNK + 1, len(ahat), cols, cols), complex)
+    rs = np.empty((_SUBSPACE_CHUNK + 1, nf, cols, cols), complex)
+    # each face's ||Y - Q * R||^2 and ||tril(R, -1)||^2, in the original face order
+    sq = np.zeros((_SUBSPACE_CHUNK + 1, nf, 2))
     y = np.empty_like(qs[0])  # the QR input, which LAPACK overwrites
-    tau = np.empty((len(ahat), cols), complex)
-    pair = (y, np.empty_like(y))  # a product into its own input copies it first
-    outs = [pair[i % 2] for i in range(cfg.power_index - 2, -1, -1)]  # the last into y
-    ql, yl = list(qs), list(ys)  # bound once: a step allocates nothing
+    spare = np.empty_like(y)  # a product into its own input copies it first
+    tau = np.empty((nf, cols), complex)
+    order = np.arange(nf)  # the original face at each position of the stacks
     np.matmul(ahat, _face_stack(x0, half), out=ys[0])
     etas = []
+
+    def bind(live):
+        """The step's views of the ``live`` active faces, a prefix of every
+        stack: a step allocates nothing."""
+        pair = (y[:live], spare[:live])
+        outs = [pair[i % 2] for i in range(cfg.power_index - 2, -1, -1)]  # the last into y
+        faces = order[:live]
+        return (ahat[faces], weights[faces], [q[:live] for q in qs], [x[:live] for x in ys],
+                pair[0], tau[:live], outs)
+
+    views, pending = bind(nf), None
+
+    def relock(locked):
+        """Move the faces that locked in the last chunk behind the active
+        ones. The last chunk left every face's latest iterate in slot 0;
+        a locked face holds it in every slot."""
+        nonlocal order, views
+        idx = np.concatenate([np.argsort(locked, kind="stable"), np.arange(len(locked), nf)])
+        for st in (qs, ys, rs):
+            st[:] = st[0, idx]
+        sq[:] = sq[0]
+        order = order[idx]
+        views = bind(len(locked) - np.count_nonzero(locked))
 
     def polish(q):
         u = facewise_qr(q, "complete")[0]
@@ -607,30 +659,46 @@ def t_subspace_iteration(a, num=None, x0=None, cfg=None, rng=None):
         return u[:, :, :cols], t[:, :cols, :cols]
 
     def result(j, iterations, reason, trace):
-        u, r = polish(qs[j]) if reason == "tol" else (qs[j], rs[j])
+        back = np.argsort(order)
+        u, r = polish(qs[j, back]) if reason == "tol" else (qs[j, back], rs[j, back])
         converged = reason == "tol" and _schur_certified(ahat, u, r, weights, n)
         u, r = (Tensor3(_from_face_stack(x, n, half), real=half) for x in (u, r))
         return SchurResult(u, r, iterations, converged, reason, etas[:iterations], trace)
 
     def take(m):
+        nonlocal pending
+        if pending is not None:
+            relock(pending)
+        al, wl, ql, yl, yq, tq, outs = views
+        live = len(al)
         with np.errstate(**_QR_ERRSTATE):
             for j in range(1, m + 1):
                 x = yl[j - 1]
                 for o in outs:
-                    x = np.matmul(ahat, x, out=o)
-                if x is not y:
-                    np.copyto(y, x)
-                qr_r_raw(y, out=tau)
-                qr_reduced(y, tau, out=ql[j])
-                np.matmul(ahat, ql[j], out=yl[j])
+                    x = np.matmul(al, x, out=o)
+                if x is not yq:
+                    np.copyto(yq, x)
+                qr_r_raw(yq, out=tq)
+                qr_reduced(yq, tq, out=ql[j])
+                np.matmul(al, ql[j], out=yl[j])
         hi = slice(1, m + 1)
-        np.matmul(np.conj(np.swapaxes(qs[hi], 2, 3)), ys[hi], out=rs[hi])
-        resid, low = _parseval_norms(weights, ys[hi] - qs[hi] @ rs[hi], np.tril(rs[hi], -1)).T
+        q, yy, r = qs[hi, :live], ys[hi, :live], rs[hi, :live]
+        np.matmul(np.conj(np.swapaxes(q, 2, 3)), yy, out=r)
+        new = _face_squares(yy - q @ r, np.tril(r, -1))
+        hit = np.sqrt(wl * new.sum(-1)) <= LOCK_TOL * scale
+        locked = hit.any(0)
+        for f in np.flatnonzero(locked):
+            s = int(hit[:, f].argmax())  # the chunk row of face f's lock step
+            for st in (q, yy, r, new):  # the steps taken past it are undone
+                st[s + 1 :, f] = st[s, f]
+        sq[hi, order[:live]] = new
+        resid, low = np.sqrt(weights @ sq[hi]).T
         eta = np.hypot(resid, low) / scale
         etas.extend(eta.tolist())
+        pending = locked if locked.any() else None
         return list(zip(resid.tolist(), (eta <= HANDOFF_TOL).tolist(), [None] * m)), None
 
-    return _iterate(cfg, (qs, ys, rs), take, result)
+    return _iterate(cfg, (qs, ys, rs, sq), take, result)
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +783,8 @@ def _polish_schur(m, u, t):
     the gate leaves it zero), and re-orthonormalizes by QR. The compression
     runs in extended precision so the diagonal carries only representation-
     level error. Each face keeps its pair of lowest residual; sweeps stop
-    when none improves.
+    once no face's residual falls below half its previous best, and at
+    once when none improves.
     """
     p = m.shape[-1]
     gate = 1e-6 * np.maximum(1.0, np.linalg.norm(m, axis=(1, 2)))[:, None]
@@ -743,9 +812,12 @@ def _polish_schur(m, u, t):
         better = res < best
         if not better.any():
             break
+        halved = (res < 0.5 * best).any()
         best = np.minimum(best, res)
         keep = better[:, None, None]
         u, t = np.where(keep, u_new, u), np.where(keep, t_new, t)
+        if not halved:  # past the first sweep, gains are at the roundoff floor
+            break
     return u, t
 
 

@@ -4,8 +4,9 @@ Binary ``.t3b``: a 16 byte header (4 byte magic ``T3B\\0``, u32 version,
 u32 CRC-32, u32 reserved), then little-endian u64 dimensions (l, p, n),
 one u8 reality flag, and l*p*n complex entries as little-endian f64
 (re, im) pairs, face major and row major within a face. The checksum
-covers everything after the header. Reading refuses a NaN or infinite
-entry with :class:`~tubal.errors.NonFiniteInput`; writing does not check.
+covers everything after the header. Reading and writing refuse a NaN or
+infinite entry with :class:`~tubal.errors.NonFiniteInput`, so every file
+written can be read back.
 
 The JSON sidecar carries the same payload base64 encoded, for small
 fixtures that want to live in version control.
@@ -46,7 +47,9 @@ def write_file(path, data):
 
 
 def _payload(t):
-    """Dims, flag, and entry bytes in the on-disk order."""
+    """Dims, flag, and entry bytes in the on-disk order; both writers build
+    it before they open a file."""
+    _check_finite(t)
     entries = np.moveaxis(t.data, 2, 0).astype("<c16", copy=False)  # (n, l, p)
     return _DIMS.pack(t.l, t.p, t.n, 1 if t.is_real else 0) + entries.tobytes()
 
@@ -143,7 +146,9 @@ def read_json(path):
 
 
 def write_tensor(t, path):
-    """Write by file suffix: ``.t3b`` binary, ``.json`` sidecar."""
+    """Write by file suffix: ``.t3b`` binary, ``.json`` sidecar. A NaN or
+    infinite entry raises :class:`~tubal.errors.NonFiniteInput` before any
+    file is opened."""
     _by_suffix(path, write_t3b, write_json)(t, path)
 
 

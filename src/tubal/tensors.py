@@ -285,6 +285,17 @@ def _parseval_norms(weights, *blocks):
     return np.sqrt(np.add.reduceat(weights @ (x * x), starts, axis=-1))
 
 
+def _face_squares(*blocks):
+    """Squared Frobenius norm of every face of each (..., faces, rows, cols)
+    block, shaped (..., faces, blocks): Parseval's terms before the weighted
+    sum over the faces. A face's sum does not depend on the other faces."""
+    sums = []
+    for b in blocks:
+        x = np.ascontiguousarray(b).view(np.float64)
+        sums.append((x * x).reshape(*x.shape[:-2], -1).sum(-1))
+    return np.stack(sums, -1)
+
+
 def fourier_norm(stack, n):
     """Frobenius norm of the spatial tensor with the given Fourier faces, by
     Parseval.

@@ -48,7 +48,9 @@ from tubal import (
 )
 from tubal import factorizations, solvers
 from tubal.experiments import make_tensor
-from tubal.tensors import _face_stack, _from_face_stack, parseval_norms, parseval_weights
+from tubal.tensors import (
+    _face_squares, _face_stack, _from_face_stack, parseval_norms, parseval_weights,
+)
 
 
 def spectral_distance(tubes, exact):
@@ -461,9 +463,12 @@ def test_subspace_chunked_scoring_matches_per_step_scoring(kind, tol, power_inde
 
 # A plain per-step subspace loop on public routines: the power products, Q
 # of np.linalg.qr (LAPACK's phases, as in the solver), Y = A * Q,
-# R = Q^H * Y, the backward error eta of one step at a time and, at the
-# hand-off, the refinement. Kept as the reference for the chunked loop,
-# whose steps write Q straight into their slots.
+# R = Q^H * Y on every face, the backward error eta of one step at a time
+# and, at the hand-off, the refinement. A face whose own share of eta is at
+# most LOCK_TOL * scale keeps that step's Q, Y and R: later steps are still
+# computed on it and thrown away. Kept as the reference for the chunked
+# loop, whose steps write Q straight into their slots, work only on the
+# faces not locked and keep those at the front of their stacks.
 
 
 def _reference_polish(ahat, q):
@@ -484,16 +489,24 @@ def _reference_subspace_bits(a, x0, cfg):
     weights = parseval_weights(a.n, len(ahat))
     scale = parseval_norms(weights, ahat)[0] * np.sqrt(x0.p) or 1.0
     y = ahat @ _face_stack(x0, half)
+    locked = np.zeros((len(ahat), 1, 1), bool)
     trace, etas, reason = [], [], "cap"
     for k in range(1, cfg.iter_max + 1):
+        z = y
         for _ in range(cfg.power_index - 1):
-            y = ahat @ y
-        q = np.linalg.qr(y)[0]
-        y = ahat @ q
-        r = np.conj(np.swapaxes(q, 1, 2)) @ y
-        resid, low = parseval_norms(weights, y - q @ r, np.tril(r, -1))
+            z = ahat @ z
+        q_new = np.linalg.qr(z)[0]
+        y_new = ahat @ q_new
+        r_new = np.conj(np.swapaxes(q_new, 1, 2)) @ y_new
+        if k == 1:
+            q, y, r = q_new, y_new, r_new
+        else:
+            q, y, r = (np.where(locked, old, cur) for old, cur in ((q, q_new), (y, y_new), (r, r_new)))
+        faces = _face_squares(y - q @ r, np.tril(r, -1))  # (faces, 2)
+        resid, low = np.sqrt(weights @ faces)
         trace.append(resid)
         etas.append(np.hypot(resid, low) / scale)
+        locked |= (np.sqrt(weights * faces.sum(-1)) <= solvers.LOCK_TOL * scale)[:, None, None]
         if etas[-1] <= solvers.HANDOFF_TOL:
             reason = "tol"
             break
@@ -1078,6 +1091,54 @@ def test_subspace_cap_returns_the_raw_pair(monkeypatch):
     assert (compressed - res.r).frob_norm() <= 1e-12 * a.frob_norm()
     assert f_tril(res.r, strict=True).frob_norm() > 1e-3
     assert_allclose(_schur_eta(a, res), res.error_trace[-1], rtol=1e-8)
+
+
+def test_subspace_steps_skip_locked_faces(monkeypatch):
+    # on ts1 complex q = 1 the slowest face (|lambda_5 / lambda_4| about
+    # 0.99) sets the step count, and the other nine lock well before it:
+    # the faces a step factors never grow in number, fall below all ten
+    # before the hand-off, and add up to little more than half the work of
+    # stepping every face
+    calls, raw = [], solvers.qr_r_raw
+
+    def spy(a, out):
+        calls.append(len(a))
+        return raw(a, out=out)
+
+    monkeypatch.setattr(solvers, "qr_r_raw", spy)
+    res = t_subspace_iteration(make_tensor("complex"), num=4)
+    assert (res.iterations, res.stop_reason, res.converged) == (2168, "tol", True)
+    faces = calls[0]
+    assert faces == 10 and all(b <= a for a, b in zip(calls, calls[1:]))
+    assert min(calls[: res.iterations]) < faces
+    assert sum(calls) < 0.6 * faces * len(calls)
+
+
+def test_subspace_capped_run_holds_locked_faces(monkeypatch):
+    # a locked face keeps the iterate of its lock step, the first whose
+    # share of eta is at most LOCK_TOL: a longer capped run returns it with
+    # the same bits, and its share sits just under LOCK_TOL, not at the
+    # roundoff floor an unlocked face would reach
+    a = make_tensor("complex")
+    stacks, spatial = [], solvers._from_face_stack
+    monkeypatch.setattr(
+        solvers, "_from_face_stack", lambda x, n, half: stacks.append(x) or spatial(x, n, half)
+    )
+
+    def capped(cap):
+        with pytest.raises(NoConvergence):
+            t_subspace_iteration(a, num=4, cfg=SolverConfig(iter_max=cap))
+        return stacks[-2:]  # the returned U and R, as face stacks
+
+    (u1, r1), (u2, r2) = capped(1000), capped(1400)
+    ahat = _face_stack(a, False)
+    weights = parseval_weights(a.n, a.n)
+    level = solvers.LOCK_TOL * parseval_norms(weights, ahat)[0] * np.sqrt(4)
+    shares = np.sqrt(weights * _face_squares(ahat @ u1 - u1 @ r1, np.tril(r1, -1)).sum(-1))
+    held = (u1 == u2).all(axis=(1, 2)) & (r1 == r2).all(axis=(1, 2))
+    assert 0 < held.sum() < len(held)
+    assert np.array_equal(held, shares <= level)
+    assert (shares[held] > 0.5 * level).all()
 
 
 def test_subspace_real_input_gives_a_real_result():

@@ -10,6 +10,7 @@ from tubal import (
     MalformedFile, NonFiniteInput, Tensor3, TubalError, UnknownFormat, read_tensor, write_tensor,
 )
 from tubal.experiments import TestTensorSpec, make_tensor
+from tubal import tensorio
 from tubal.tensorio import read_json, read_t3b, write_file, write_json, write_t3b
 
 
@@ -46,10 +47,11 @@ def _bits(t):
 
 @pytest.mark.parametrize("suffix", [".t3b", ".json"])
 @pytest.mark.parametrize("real", [True, False])
-def test_roundtrip_keeps_every_bit(tmp_path, suffix, real):
+def test_roundtrip_keeps_every_bit(tmp_path, suffix, real, monkeypatch):
     # signed zeros, the largest floats and subnormals: a read that rebuilds
     # re + 1j * im turns -0.0 + 0j into +0.0. An infinity or a NaN payload
-    # is written, and refused on reading
+    # is refused on writing; written with the write gate lifted, it is
+    # refused on reading
     tiny = np.float64(5e-324)
     big = np.finfo(float).max
     entries = np.array([-0.0, 0.0, 1.0, -big, big, tiny, -tiny, -1.0])
@@ -66,9 +68,31 @@ def test_roundtrip_keeps_every_bit(tmp_path, suffix, real):
     payload_nan = np.array(0x7FF8_0000_0000_1234, dtype=np.uint64).view(np.float64)
     for bad in (np.inf, payload_nan):
         data[3] = bad
-        write_tensor(Tensor3(data.reshape(2, 2, 2), real=real), path)
+        with monkeypatch.context() as patch:
+            patch.setattr(tensorio, "_check_finite", lambda *tensors: None)
+            write_tensor(Tensor3(data.reshape(2, 2, 2), real=real), path)
         with pytest.raises(NonFiniteInput):
             read_tensor(path)
+
+
+@pytest.mark.parametrize("suffix", [".t3b", ".json"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_refuses_non_finite_entries(tmp_path, rng, suffix, bad):
+    # a file tubal writes must read back, so a non-finite tensor is refused
+    # before any file is opened: a new path is not created, and an existing
+    # file keeps its bytes
+    good = random_tensor(rng, 3, 2, 4)
+    data = good.data.copy()
+    data[1, 0, 2] = bad
+    fresh, old = tmp_path / f"fresh{suffix}", tmp_path / f"old{suffix}"
+    write_tensor(good, old)
+    before = old.read_bytes()
+    for path in (fresh, old):
+        with pytest.raises(NonFiniteInput):
+            write_tensor(Tensor3(data), path)
+    assert not fresh.exists()
+    assert old.read_bytes() == before
+    assert np.array_equal(read_tensor(old).data, good.data)
 
 
 def test_cross_format_equality(tmp_path, rng):
