@@ -51,7 +51,6 @@ from .solvers import (
     deflate,
     deflated_power_sweep,
     t_inverse_power,
-    t_max,
     t_power,
     t_qr_shifted,
     t_qr_unshifted,
@@ -65,12 +64,8 @@ from .tensors import (
     conj_transpose,
     f_diagonal,
     f_tril,
-    fft3,
     fold,
-    fourier_norm,
     identity,
-    ifft3,
-    inner_product,
     slice_inner,
     slice_norm,
     slice_normalize,

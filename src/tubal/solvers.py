@@ -37,7 +37,6 @@ from .tensors import (
     _from_face_stack,
     _parseval_norms,
     conj_transpose,
-    parseval_norms,
     parseval_weights,
     slice_inner,
     slice_normalize,
@@ -159,17 +158,6 @@ def random_slice_set(l, m, n, real, rng):
     return Tensor3(
         rng.standard_normal((l, m, n)) + 1j * rng.standard_normal((l, m, n))
     )
-
-
-def t_max(x):
-    """The tube of largest Frobenius norm among the tubes of a lateral
-    slice; ties take the smallest row index."""
-    if x.p != 1:
-        raise DimensionMismatch("columns", x.p, 1)
-    norms = np.linalg.norm(x.data[:, 0, :], axis=1)
-    if norms.max() == 0.0:
-        raise ZeroSlice("every tube of the slice is zero")
-    return Tube(x.data[int(np.argmax(norms)), 0, :])
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +600,7 @@ def t_subspace_iteration(a, num=None, x0=None, cfg=None, rng=None):
     nf = len(ahat)
     weights = parseval_weights(n, nf)
     # eta's denominator: ||X||_F is sqrt(cols); a zero A keeps the residual absolute
-    scale = parseval_norms(weights, ahat)[0] * np.sqrt(cols) or 1.0
+    scale = _parseval_norms(weights, ahat)[0] * np.sqrt(cols) or 1.0
     qs = np.empty((_SUBSPACE_CHUNK + 1, nf, p, cols), complex)
     ys = np.empty_like(qs)
     rs = np.empty((_SUBSPACE_CHUNK + 1, nf, cols, cols), complex)
@@ -705,29 +693,17 @@ def t_subspace_iteration(a, num=None, x0=None, cfg=None, rng=None):
 # QR algorithms
 
 
-@dataclass
-class QrIterate:
-    """One step of the basic QR iteration, kept when history is requested."""
-
-    q: Tensor3
-    r: Tensor3
-    iterate: Tensor3
-    q_acc: Tensor3
-    r_acc: Tensor3
-
-
-def t_qr_unshifted(a, cfg=None, keep_history=False):
+def t_qr_unshifted(a, cfg=None):
     """Basic QR iteration: factor, remultiply in reverse order, repeat.
 
     Slow but transparent; every iterate is f-unitarily similar to the
     input, and the accumulated factors give a t-QR factorization of A^k.
-    The iterate and the accumulated factors stay Fourier face stacks (the
+    The iterate and the accumulated Q stay Fourier face stacks (the
     leading n // 2 + 1 faces for real input): a step is one
-    :func:`facewise_qr` call and two batched products; the accumulated R
-    and the spatial :class:`QrIterate` history are built only with
-    ``keep_history``. Stops when the strictly f-lower-triangular mass, by
-    Parseval, falls below ``cfg.tol * max(1, ||A||_F)``. A NaN or infinite
-    entry in A raises :class:`NonFiniteInput`.
+    :func:`facewise_qr` call and two batched products. Stops when the
+    strictly f-lower-triangular mass, by Parseval, falls below
+    ``cfg.tol * max(1, ||A||_F)``. A NaN or infinite entry in A raises
+    :class:`NonFiniteInput`.
     """
     _check_square(a)
     _check_finite(a)
@@ -735,8 +711,7 @@ def t_qr_unshifted(a, cfg=None, keep_history=False):
     n, half = a.n, a.is_real
     a_k = _face_stack(a, half)
     weights = parseval_weights(n, len(a_k))
-    q_acc = r_acc = np.broadcast_to(np.eye(a.p), a_k.shape)
-    history = []
+    q_acc = np.broadcast_to(np.eye(a.p), a_k.shape)
     err_trace = []
     scale = max(1.0, a.frob_norm())
     err = np.inf
@@ -745,9 +720,7 @@ def t_qr_unshifted(a, cfg=None, keep_history=False):
         return Tensor3(_from_face_stack(stack, n, half), real=half)
 
     def result(reason):
-        res = SchurResult(spatial(q_acc), spatial(a_k), k, reason == "tol", reason, err_trace, [])
-        res.history = history
-        return res
+        return SchurResult(spatial(q_acc), spatial(a_k), k, reason == "tol", reason, err_trace, [])
 
     k = 0
     while k < cfg.iter_max:
@@ -755,10 +728,7 @@ def t_qr_unshifted(a, cfg=None, keep_history=False):
         q, r = facewise_qr(a_k, "complete")
         a_k = r @ q
         q_acc = q_acc @ q
-        if keep_history:
-            r_acc = r @ r_acc
-            history.append(QrIterate(*map(spatial, (q, r, a_k, q_acc, r_acc))))
-        (err,) = parseval_norms(weights, np.tril(a_k, -1))
+        (err,) = _parseval_norms(weights, np.tril(a_k, -1)).tolist()
         err_trace.append(err)
         if err <= cfg.tol * scale:
             return result("tol")
@@ -827,8 +797,8 @@ def _schur_certified(m, u, t, weights, n):
     sqrt(p * n), by Parseval with ``weights`` on the face stacks m, u, t."""
     p, cols = u.shape[1:]
     # ||U||_F is sqrt(cols) for f-orthonormal U; a zero A keeps eta absolute
-    scale = parseval_norms(weights, m)[0] * np.sqrt(cols) or 1.0
-    (resid,) = parseval_norms(weights, m @ u - u @ t)
+    scale = _parseval_norms(weights, m)[0] * np.sqrt(cols) or 1.0
+    resid = _parseval_norms(weights, m @ u - u @ t)[0]
     return bool(resid / scale <= np.finfo(float).eps * np.sqrt(p * n))
 
 

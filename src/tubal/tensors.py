@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteInput
+from .errors import DimensionMismatch, NonFiniteInput, ZeroSlice
 from .tubes import Tube, _check_divisor
 
 #: bcirc materialization guard: (l*n) * (p*n) entries at most.
@@ -187,6 +187,8 @@ def identity(p, n):
 
 def canonical_slice(l, j, n):
     """Canonical tensor column: one at entry (j, 1, 1), zeros elsewhere."""
+    if not 0 <= j < l:
+        raise ValueError(f"row index {j} is outside 0 .. {l - 1}")
     data = np.zeros((l, 1, n))
     data[j, 0, 0] = 1.0
     return Tensor3(data)
@@ -198,8 +200,12 @@ def f_diagonal(tubes, l=None):
     The result is f-diagonal, i.e. every Fourier face is a diagonal matrix.
     """
     p = len(tubes)
+    if p == 0:
+        raise ValueError("need at least one tube")
     n = tubes[0].n
     rows = l if l is not None else p
+    if rows < p:
+        raise DimensionMismatch("rows", rows, p)
     data = np.zeros((rows, p, n), dtype=np.complex128)
     for i, t in enumerate(tubes):
         if t.n != n:
@@ -235,15 +241,6 @@ def _from_face_stack(stack, n, half):
     return np.fft.irfft(data, n=n, axis=2) if half else np.fft.ifft(data, axis=2)
 
 
-def fft3(a):
-    """DFT of every tube of the tensor (mode-3, unnormalized forward)."""
-    return Tensor3(np.fft.fft(a.data, axis=2))
-
-
-def ifft3(a):
-    return Tensor3(np.fft.ifft(a.data, axis=2))
-
-
 def parseval_weights(n, faces):
     """Weights w_f of the Fourier faces in Parseval's sum ||A||_F^2 =
     sum_f w_f ||A_hat_f||_F^2 for a tensor with n tube entries: 1 / n on
@@ -256,7 +253,7 @@ def parseval_weights(n, faces):
     return weights
 
 
-def parseval_norms(weights, *blocks):
+def _parseval_norms(weights, *blocks):
     """Frobenius norms of the spatial tensors whose Fourier faces are the
     nonempty ``blocks``, from one weighted Parseval reduction.
 
@@ -266,14 +263,9 @@ def parseval_norms(weights, *blocks):
     their leading batch dimensions. The blocks are laid side by side as
     (..., faces, k) complex columns, viewed as real and imaginary parts, and
     ``weights @ (x * x)`` sums every column over the faces at once; the
-    columns of each block then add up to its squared norm. Returns the list
-    of norms, or for a batch one such list per batch entry.
+    columns of each block then add up to its squared norm. Returns the
+    norms as an array shaped (..., blocks).
     """
-    return _parseval_norms(weights, *blocks).tolist()
-
-
-def _parseval_norms(weights, *blocks):
-    """:func:`parseval_norms` as an array, shaped (..., blocks)."""
     shape = (*blocks[0].shape[:-3], len(weights), -1)
     cols = [b.reshape(shape) for b in blocks]
     # a lone block with F-ordered faces concatenates to an F-ordered copy
@@ -294,23 +286,6 @@ def _face_squares(*blocks):
         x = np.ascontiguousarray(b).view(np.float64)
         sums.append((x * x).reshape(*x.shape[:-2], -1).sum(-1))
     return np.stack(sums, -1)
-
-
-def fourier_norm(stack, n):
-    """Frobenius norm of the spatial tensor with the given Fourier faces, by
-    Parseval.
-
-    ``stack`` is (faces, l, p) and holds either all n faces or, for a real
-    tensor, the leading n // 2 + 1 of them (see :func:`parseval_weights`).
-    """
-    return parseval_norms(parseval_weights(n, len(stack)), stack)[0]
-
-
-def inner_product(a, b):
-    """Entrywise inner product sum(A * conj(B)) as a complex scalar."""
-    if a.shape != b.shape:
-        raise DimensionMismatch("shape", a.shape, b.shape)
-    return complex(np.vdot(b.data, a.data))
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +452,10 @@ def slice_normalize(y):
 def slice_norm(y):
     """Slice norm ||<Y, Y>||_F / ||Y||_F."""
     _check_lateral(y)
-    g = slice_inner(y, y)
-    return g.norm() / y.frob_norm()
+    norm = y.frob_norm()
+    if norm == 0.0:
+        raise ZeroSlice("a zero slice has no slice norm")
+    return slice_inner(y, y).norm() / norm
 
 
 # ---------------------------------------------------------------------------

@@ -38,11 +38,12 @@ class Tube:
         self._fourier = None
 
     @property
-    def values(self):
+    def spatial_values(self):
         """The spatial entries."""
         return self._values
 
-    spatial_values = values
+    # the older name, which perfbench's result digest still reads
+    values = spatial_values
 
     @property
     def n(self):
@@ -129,7 +130,7 @@ def tube_mul(a, b):
     a._compat(b)
     if a.is_real and b.is_real:
         vals = np.fft.irfft(
-            np.fft.rfft(a.values.real) * np.fft.rfft(b.values.real), n=a.n
+            np.fft.rfft(a.spatial_values.real) * np.fft.rfft(b.spatial_values.real), n=a.n
         )
         return Tube(vals)
     return Tube(np.fft.ifft(a.fourier_values * b.fourier_values))

@@ -210,7 +210,7 @@ def _assert_same(got, want):
         assert got.is_real == want.is_real
         got, want = got.data, want.data
     elif isinstance(got, Tube):
-        got, want = got.values, want.values
+        got, want = got.spatial_values, want.spatial_values
     assert np.array_equal(got, want)
 
 
@@ -619,7 +619,7 @@ def test_maybe_real_tubes_matches_per_column_loop(rng):
     )
     got = _maybe_real_tubes(cols)
     want = [_tube_from_fourier(col) for col in cols.T]
-    assert [t.values.tobytes() for t in got] == [t.values.tobytes() for t in want]
+    assert [t.spatial_values.tobytes() for t in got] == [t.spatial_values.tobytes() for t in want]
     assert [t.is_real for t in got] == [True] * 3 + [False] * 2 + [True, False, True, False, False]
 
 

@@ -28,13 +28,11 @@ from tubal import (
     f_diagonal,
     f_tril,
     facewise_qr,
-    fourier_norm,
     identity,
     slice_inner,
     spectrum_of,
     t_inverse,
     t_inverse_power,
-    t_max,
     t_power,
     t_product,
     t_qr_shifted,
@@ -49,7 +47,7 @@ from tubal import (
 from tubal import factorizations, solvers
 from tubal.experiments import make_tensor
 from tubal.tensors import (
-    _face_squares, _face_stack, _from_face_stack, parseval_norms, parseval_weights,
+    _face_squares, _face_stack, _from_face_stack, _parseval_norms, parseval_weights,
 )
 
 
@@ -71,36 +69,6 @@ def well_separated_f_diagonal(rng, p, n, base=3.0, ratio=0.5):
         vals = base * ratio**j * np.exp(1j * theta)
         tubes.append(Tube(np.fft.ifft(vals).real))
     return f_diagonal(tubes), tubes
-
-
-# ---------------------------------------------------------------------------
-# t_max
-
-
-def test_t_max_canonical():
-    assert t_max(canonical_slice(3, 0, 4)) == unit_tube(4)
-
-
-def test_t_max_tie_takes_first():
-    data = np.zeros((3, 1, 2))
-    data[0, 0, :] = [1.0, 0.0]
-    data[1, 0, :] = [5.0, 0.0]
-    data[2, 0, :] = [0.0, 5.0]
-    got = t_max(Tensor3(data))
-    assert_allclose(got.spatial_values, [5.0, 0.0])
-
-
-def test_t_max_matches_linear_scan(rng):
-    x = random_tensor(rng, 6, 1, 4)
-    norms = [np.linalg.norm(x.data[i, 0, :]) for i in range(6)]
-    assert_allclose(
-        t_max(x).spatial_values, x.data[int(np.argmax(norms)), 0, :]
-    )
-
-
-def test_t_max_zero_slice():
-    with pytest.raises(ZeroSlice):
-        t_max(zeros(3, 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +455,7 @@ def _reference_subspace_bits(a, x0, cfg):
     half = a.is_real and x0.is_real
     ahat = _face_stack(a, half)
     weights = parseval_weights(a.n, len(ahat))
-    scale = parseval_norms(weights, ahat)[0] * np.sqrt(x0.p) or 1.0
+    scale = _parseval_norms(weights, ahat)[0] * np.sqrt(x0.p) or 1.0
     y = ahat @ _face_stack(x0, half)
     locked = np.zeros((len(ahat), 1, 1), bool)
     trace, etas, reason = [], [], "cap"
@@ -513,7 +481,7 @@ def _reference_subspace_bits(a, x0, cfg):
     converged = False
     if reason == "tol":
         q, r = _reference_polish(ahat, q)
-        eta = parseval_norms(weights, ahat @ q - q @ r)[0] / scale
+        eta = _parseval_norms(weights, ahat @ q - q @ r)[0] / scale
         converged = eta <= np.finfo(float).eps * np.sqrt(a.p * a.n)
     u, rr = (Tensor3(_from_face_stack(x, a.n, half), real=half) for x in (q, r))
     return (
@@ -973,7 +941,8 @@ def test_fourier_norm_is_parseval(rng, n, real):
     stack = a.fourier_faces()
     if real:
         stack = stack[: n // 2 + 1]
-    assert_allclose(fourier_norm(stack, n), a.frob_norm(), rtol=1e-13)
+    norm = _parseval_norms(parseval_weights(n, len(stack)), stack)[0]
+    assert_allclose(norm, a.frob_norm(), rtol=1e-13)
 
 
 def test_subspace_real_and_complex_start_agree(rng):
@@ -1133,7 +1102,7 @@ def test_subspace_capped_run_holds_locked_faces(monkeypatch):
     (u1, r1), (u2, r2) = capped(1000), capped(1400)
     ahat = _face_stack(a, False)
     weights = parseval_weights(a.n, a.n)
-    level = solvers.LOCK_TOL * parseval_norms(weights, ahat)[0] * np.sqrt(4)
+    level = solvers.LOCK_TOL * _parseval_norms(weights, ahat)[0] * np.sqrt(4)
     shares = np.sqrt(weights * _face_squares(ahat @ u1 - u1 @ r1, np.tril(r1, -1)).sum(-1))
     held = (u1 == u2).all(axis=(1, 2)) & (r1 == r2).all(axis=(1, 2))
     assert 0 < held.sum() < len(held)
@@ -1250,24 +1219,26 @@ def test_qr_unshifted_n1_matches_matrix_iteration(rng):
 
 def test_qr_unshifted_similarity_and_power_factorization(rng):
     a = random_tensor(rng, 3, 3, 2)
-    try:
-        res = t_qr_unshifted(a, cfg=SolverConfig(iter_max=5, tol=1e-30), keep_history=True)
-    except NoConvergence as exc:
-        res = exc.result
     exact = spectrum_of(a).eigentubes
     from tubal import facewise_sort_tubes
 
-    for k, step in enumerate(res.history, start=1):
-        # similarity: every iterate keeps the spectrum
-        lam = facewise_sort_tubes(spectrum_of(step.iterate).eigentubes)
+    for k in range(1, 6):
+        try:
+            res = t_qr_unshifted(a, cfg=SolverConfig(iter_max=k, tol=1e-30))
+        except NoConvergence as exc:
+            res = exc.result
+        # similarity: every iterate keeps the spectrum, and U^H * A * U = R
+        lam = facewise_sort_tubes(spectrum_of(res.r).eigentubes)
         assert spectral_distance(lam, exact) <= 1e-8 * max(1.0, a.frob_norm())
-        # accumulated factors give a t-QR factorization of A^k
-        recon = t_product(step.q_acc, step.r_acc)
-        assert (recon - a**k).frob_norm() <= 1e-8 * max(1.0, (a**k).frob_norm())
-        sim = t_product(
-            t_product(conj_transpose(step.q_acc), a), step.q_acc
-        )
-        assert (sim - step.iterate).frob_norm() <= 1e-10 * max(1.0, a.frob_norm())
+        uh = conj_transpose(res.u)
+        sim = t_product(t_product(uh, a), res.u)
+        assert (sim - res.r).frob_norm() <= 1e-10 * max(1.0, a.frob_norm())
+        # A^k = U * R_acc with R_acc f-upper triangular: the accumulated
+        # factors give a t-QR factorization of A^k, so U^H * A^k has no
+        # strictly f-lower part
+        power = a**k
+        lower = f_tril(t_product(uh, power), strict=True)
+        assert lower.frob_norm() <= 1e-8 * max(1.0, power.frob_norm())
 
 
 def test_qr_unshifted_f_hermitian_offdiag_decays(rng):

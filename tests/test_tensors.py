@@ -8,16 +8,14 @@ from tubal import (
     NearSingularTube,
     Tensor3,
     Tube,
+    ZeroSlice,
     bcirc,
     canonical_slice,
     conj_transpose,
     f_diagonal,
     f_tril,
-    fft3,
     fold,
     identity,
-    ifft3,
-    inner_product,
     slice_inner,
     slice_norm,
     slice_normalize,
@@ -40,20 +38,21 @@ def test_constructor_validates_reality():
     assert t.is_real
 
 
-def test_fft3_identity_tensor():
-    eye = identity(3, 4)
-    faces = fft3(eye)
+def test_fourier_faces_identity_tensor():
+    faces = identity(3, 4).fourier_faces()
+    assert faces.shape == (4, 3, 3)
     for k in range(4):
-        assert_allclose(faces.face(k), np.eye(3), atol=1e-14)
+        assert_allclose(faces[k], np.eye(3), atol=1e-14)
 
 
-def test_fft3_n1_is_identity_map():
+def test_fourier_faces_n1_is_identity_map():
     rng = np.random.default_rng(0)
     a = random_tensor(rng, 3, 2, 1)
-    assert fft3(a).allclose(a)
+    assert_allclose(a.fourier_faces()[0], a.face(0))
+    assert Tensor3.from_fourier_faces(a.fourier_faces()).allclose(a)
 
 
-def test_fft3_scaled_tridiag_faces():
+def test_fourier_faces_scaled_tridiag():
     # faces delta_i * T have Fourier face k equal to c_k * T, where c is the
     # 3-point DFT of (1, 10, 100); computed by the explicit DFT oracle
     from conftest import tridiag_tensor
@@ -67,14 +66,17 @@ def test_fft3_scaled_tridiag_faces():
         assert_allclose(faces[k], c[k] * t, atol=1e-10)
 
 
-def test_ifft3_inverts_fft3(rng):
-    a = random_tensor(rng, 3, 4, 5)
-    assert ifft3(fft3(a)).allclose(a, rtol=1e-12)
+def test_from_fourier_faces_inverts_fourier_faces(rng):
+    for real in (True, False):
+        a = random_tensor(rng, 3, 4, 5, real=real)
+        back = Tensor3.from_fourier_faces(a.fourier_faces(), real=real)
+        assert back.is_real == real
+        assert back.allclose(a, rtol=1e-12)
 
 
 def test_frob_norm_fft_identity(rng):
     a = random_tensor(rng, 4, 3, 6)
-    assert_allclose(a.frob_norm(), fft3(a).frob_norm() / np.sqrt(6), rtol=1e-12)
+    assert_allclose(a.frob_norm(), np.linalg.norm(a.fourier_faces()) / np.sqrt(6), rtol=1e-12)
 
 
 def test_unfold_fold_roundtrip(rng):
@@ -218,14 +220,6 @@ def test_t_product_dimension_errors(rng):
     assert info.value.axis == "tubes"
 
 
-def test_inner_product_transport(rng):
-    a = random_tensor(rng, 3, 2, 5)
-    b = random_tensor(rng, 3, 2, 5)
-    lhs = inner_product(a, b)
-    rhs = inner_product(fft3(a), fft3(b)) / 5
-    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
-
-
 def test_conj_transpose():
     eye = identity(3, 4)
     assert conj_transpose(eye).allclose(eye)
@@ -295,7 +289,7 @@ def test_slice_inner_canonical():
     e1 = canonical_slice(3, 0, 4)
     e2 = canonical_slice(3, 1, 4)
     assert slice_inner(e1, e1) == unit_tube(4)
-    assert np.abs(slice_inner(e1, e2).values).max() == 0.0
+    assert np.abs(slice_inner(e1, e2).spatial_values).max() == 0.0
 
 
 def test_slice_inner_conjugate_symmetry(rng):
@@ -303,7 +297,7 @@ def test_slice_inner_conjugate_symmetry(rng):
     y = random_tensor(rng, 4, 1, 3)
     lhs = tube_conj_t(slice_inner(x, y))
     rhs = slice_inner(y, x)
-    assert np.linalg.norm(lhs.values - rhs.values) <= 1e-10
+    assert np.linalg.norm(lhs.spatial_values - rhs.spatial_values) <= 1e-10
 
 
 def test_bilinear_form_laws(rng):
@@ -312,15 +306,15 @@ def test_bilinear_form_laws(rng):
     z = random_tensor(rng, 4, 1, 3)
     a = Tube(rng.standard_normal(3) + 1j * rng.standard_normal(3))
     add = slice_inner(x, y + z) - (slice_inner(x, y) + slice_inner(x, z))
-    assert np.linalg.norm(add.values) <= 1e-10
+    assert np.linalg.norm(add.spatial_values) <= 1e-10
     from tubal import tube_mul
 
     right = slice_inner(x, tensor_tube_mul(y, a)) - tube_mul(a, slice_inner(x, y))
-    assert np.linalg.norm(right.values) <= 1e-10
+    assert np.linalg.norm(right.spatial_values) <= 1e-10
     left = slice_inner(tensor_tube_mul(x, a), y) - tube_mul(
         tube_conj_t(a), slice_inner(x, y)
     )
-    assert np.linalg.norm(left.values) <= 1e-10
+    assert np.linalg.norm(left.spatial_values) <= 1e-10
 
 
 def test_slice_normalize(rng):
@@ -341,6 +335,11 @@ def test_slice_normalize_degenerate():
         slice_normalize(y)
 
 
+def test_slice_norm_zero_slice():
+    with pytest.raises(ZeroSlice):
+        slice_norm(Tensor3(np.zeros((3, 1, 4))))
+
+
 def _two_face_slice(small):
     """A real 2 x 1 x 2 slice whose Fourier faces have magnitudes 1 and
     ``small``, a power of two, so both faces are exact."""
@@ -354,7 +353,7 @@ def test_slice_normalize_gates_the_divisor():
     y = _two_face_slice(2.0**-27)
     x, a = slice_normalize(y)
     assert_allclose(a.fourier_values, [1.0, 2.0**-27], rtol=1e-15)
-    assert_allclose(tube_div(a, a).values, unit_tube(2).values, atol=1e-12)
+    assert_allclose(tube_div(a, a).spatial_values, unit_tube(2).spatial_values, atol=1e-12)
     assert (slice_inner(x, x) - unit_tube(2)).norm() <= 1e-10
     assert tensor_tube_mul(x, a).allclose(y, rtol=1e-10, atol=1e-20)
     # the gate still fails a divisor entry below it, and reports that entry
@@ -378,6 +377,26 @@ def test_f_diagonal_builder(rng):
     for k in range(3):
         off = faces[k] - np.diag(np.diag(faces[k]))
         assert np.abs(off).max() <= 1e-14
+    tall = f_diagonal(tubes, 4)
+    assert tall.shape == (4, 2, 3)
+    assert np.array_equal(tall.data[:2], d.data)
+    assert not tall.data[2:].any()
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: f_diagonal([]), ValueError),
+        (lambda: f_diagonal([unit_tube(3)] * 3, 2), DimensionMismatch),
+        (lambda: canonical_slice(3, 3, 4), ValueError),
+        (lambda: canonical_slice(3, -1, 4), ValueError),
+    ],
+    ids=["f_diagonal-empty", "f_diagonal-short", "canonical_slice-past-end",
+         "canonical_slice-negative"],
+)
+def test_constructors_reject_bad_indices(build, error):
+    with pytest.raises(error):
+        build()
 
 
 def test_tensor_power(rng):
